@@ -22,11 +22,11 @@
 //      hit rate must clear 0.6; the cached arm must report nonzero
 //      cache_extensions at every scale (the bands did certify survival).
 //
-// The server fronts a one-shard router in inline mode under the τ
-// engine (live-τ heads are what turn mutations into survival bands);
-// uncached execution therefore serializes on the scheduler thread while
-// cache hits answer from the per-connection reader threads — the
-// speedup prices skipped sweeps plus recovered reader parallelism.
+// The server fronts a one-shard router under the τ engine (live-τ heads
+// are what turn mutations into survival bands); uncached execution
+// therefore serializes on the shard's lane while cache hits answer from
+// the per-connection reader threads — the speedup prices skipped sweeps
+// plus recovered reader parallelism.
 
 #include <algorithm>
 #include <atomic>
@@ -126,7 +126,6 @@ bool SameRanks(const ReverseKRanksResult& a, const ReverseKRanksResult& b) {
 ShardedIndexOptions ServingOptions() {
   ShardedIndexOptions options;
   options.shards = 1;
-  options.use_workers = false;
   options.dynamic.gir.scan_mode = ScanMode::kTauIndex;
   // A deep τ horizon keeps the survival bands comfortably above both the
   // query k and the pool's reverse k-rank maxima, so answer-invariant
@@ -390,9 +389,9 @@ int Run() {
   // second arm executes against a marginally larger live set.
   auto served = ShardedGirIndex::Build(points, weights, ServingOptions());
   if (!served.ok()) Fatal("build: " + served.status().ToString());
-  // One accept thread, one scheduler, one reader per client; inline
-  // mode, so no shard workers.
-  bench::BenchThreads() = 2 + config.clients;
+  // One accept thread, one scheduler, one reader per client, and the
+  // shard's lane.
+  bench::BenchThreads() = 3 + config.clients;
   const ArmResult uncached =
       RunTimedArm("cache_off", served.value().get(), /*enable_cache=*/false,
                   pool, rtk, rkr, k, config, scale, json);

@@ -212,10 +212,9 @@ double RunArm(const char* arm, ShardedGirIndex* index, ServerOptions options,
 
   // Real thread counts, not the --threads flag: one accept thread, one
   // scheduler thread, one reader per client connection, plus the sharded
-  // router's pinned workers (zero in inline mode).
+  // router's lane per shard.
   const size_t server_threads = 2 + config.clients;
-  const size_t shard_workers =
-      index->options().use_workers ? index->shard_count() : 0;
+  const size_t shard_workers = index->shard_count();
   bench::BenchThreads() = server_threads + shard_workers;
 
   double elapsed_ms = 0.0;
@@ -277,12 +276,11 @@ void RunConfig(const Config& config, BenchScale scale,
   const Workload w =
       MakeWorkload(index, points, config.pool, 8, /*with_rkr=*/false);
 
-  // The server fronts a one-shard router in inline mode: the scheduler
-  // thread runs the sweeps itself, so the arms measure micro-batching,
-  // not shard handoff (bench_shard_scaling owns that axis).
+  // The server fronts a one-shard router, so the arms measure
+  // micro-batching, not shard fan-out (bench_shard_scaling owns that
+  // axis).
   ShardedIndexOptions serve_options;
   serve_options.shards = 1;
-  serve_options.use_workers = false;
   serve_options.dynamic = options;
   auto served = ShardedGirIndex::Build(points, weights, serve_options);
   if (!served.ok()) Fatal("build: " + served.status().ToString());

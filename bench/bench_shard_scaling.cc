@@ -204,7 +204,7 @@ ArmResult RunArm(size_t shards, const Dataset& points, const Dataset& weights,
   if (!built.ok()) Fatal("arm build: " + built.status().ToString());
   ShardedGirIndex& index = *built.value();
 
-  // The caller thread plus one pinned worker per shard.
+  // The caller thread plus one lane per shard.
   bench::BenchThreads() = 1 + shards;
 
   ArmResult result;

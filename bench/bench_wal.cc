@@ -61,7 +61,6 @@ std::unique_ptr<ShardedGirIndex> BuildRouter(const Dataset& points,
                                              const Dataset& weights) {
   ShardedIndexOptions options;
   options.shards = 2;
-  options.use_workers = true;
   options.background_compact = true;
   auto index = ShardedGirIndex::Build(points, weights, options);
   if (!index.ok()) {

@@ -7,16 +7,12 @@
 
 namespace gir {
 
-namespace {
-
 bool RowValuesValid(ConstRow row) {
   for (double v : row) {
     if (!std::isfinite(v) || v < 0.0) return false;
   }
   return true;
 }
-
-}  // namespace
 
 Dataset::Dataset(size_t dim) : dim_(dim) {}
 
@@ -106,14 +102,12 @@ std::vector<double> Dataset::PerDimMax() const {
 }
 
 Status ValidateWeight(ConstRow w, double tolerance) {
-  double sum = 0.0;
-  for (double v : w) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::InvalidArgument(
-          "weight entries must be finite and non-negative");
-    }
-    sum += v;
+  if (!RowValuesValid(w)) {
+    return Status::InvalidArgument(
+        "weight entries must be finite and non-negative");
   }
+  double sum = 0.0;
+  for (double v : w) sum += v;
   if (std::abs(sum - 1.0) > tolerance) {
     return Status::InvalidArgument("weight entries must sum to 1, got " +
                                    std::to_string(sum));
@@ -122,14 +116,12 @@ Status ValidateWeight(ConstRow w, double tolerance) {
 }
 
 Status NormalizeWeight(std::vector<double>& w) {
-  double sum = 0.0;
-  for (double v : w) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::InvalidArgument(
-          "weight entries must be finite and non-negative");
-    }
-    sum += v;
+  if (!RowValuesValid(w)) {
+    return Status::InvalidArgument(
+        "weight entries must be finite and non-negative");
   }
+  double sum = 0.0;
+  for (double v : w) sum += v;
   if (!(sum > 0.0) || !std::isfinite(sum)) {
     return Status::InvalidArgument("weight sum must be positive and finite");
   }

@@ -69,6 +69,10 @@ class Dataset {
   std::vector<double> data_;
 };
 
+/// True iff every value of `row` is finite and non-negative — the value
+/// contract of every indexed row and every query row.
+bool RowValuesValid(ConstRow row);
+
 /// Validates that `w` is a preference vector: non-negative entries summing
 /// to 1 within `tolerance`.
 Status ValidateWeight(ConstRow w, double tolerance = 1e-9);

@@ -1,7 +1,5 @@
 #include "dist/router_core.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -10,65 +8,33 @@ namespace gir {
 
 namespace {
 
-/// The same row contract ShardedGirIndex enforces at admission: finite,
-/// non-negative values. Validated at the router before any bookkeeping
-/// is committed, so a task can only fail after admission if a shard
-/// process itself is broken.
-Status ValidateRowValues(ConstRow row) {
-  for (double v : row) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::InvalidArgument("row contains NaN/Inf/negative values");
-    }
-  }
-  return Status::OK();
+uint64_t Bit(size_t s) { return uint64_t{1} << s; }
+
+/// A version no shard ever reports: a batch answer of the wrong length
+/// cannot come from the pinned history either, so it fails the check.
+constexpr uint64_t kNoVersion = ~uint64_t{0};
+
+/// Fills `out`. An op is degraded unless it covered every shard it
+/// needed; degraded ops are counted in `degraded`.
+void Cover(uint64_t version, uint64_t coverage, uint64_t needed,
+           uint32_t shards, std::atomic<uint64_t>& degraded,
+           DistCoverage* out) {
+  out->version = version;
+  out->coverage = coverage;
+  out->shard_count = shards;
+  out->degraded = coverage != needed;
+  if (out->degraded) degraded.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// k-way merge of per-shard sorted, disjoint global-id lists — the
-/// in-process MergeRtk of grid/sharded_index.cc, now merging wire
-/// answers.
-ReverseTopKResult MergeRtk(std::vector<ReverseTopKResult>& parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  ReverseTopKResult out;
-  out.reserve(total);
-  std::vector<size_t> pos(parts.size(), 0);
-  while (out.size() < total) {
-    size_t best = parts.size();
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (pos[s] >= parts[s].size()) continue;
-      if (best == parts.size() || parts[s][pos[s]] < parts[best][pos[best]]) {
-        best = s;
-      }
-    }
-    out.push_back(parts[best][pos[best]++]);
-  }
-  return out;
-}
-
-/// k-way merge of per-shard k-ranks answers (already mapped to global
-/// ids; each sorted by the (rank, weight_id) tie rule), truncated to k.
-/// Per-shard truncation to k — never k/N — is what keeps this exact
-/// across processes, exactly as DESIGN.md §15 argues in-process.
-ReverseKRanksResult MergeRkr(std::vector<ReverseKRanksResult>& parts,
-                             size_t k) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  const size_t take = std::min(k, total);
-  ReverseKRanksResult out;
-  out.reserve(take);
-  std::vector<size_t> pos(parts.size(), 0);
-  while (out.size() < take) {
-    size_t best = parts.size();
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (pos[s] >= parts[s].size()) continue;
-      if (best == parts.size() || parts[s][pos[s]] < parts[best][pos[best]]) {
-        best = s;
-      }
-    }
-    if (best == parts.size()) break;
-    out.push_back(parts[best][pos[best]++]);
-  }
-  return out;
+/// A fan-out RPC that stores shard s's answer in parts[s].
+template <typename Answer, typename Call>
+auto StoreInto(std::vector<Answer>& parts, Call call) {
+  return [&parts, call](size_t s, uint64_t* version) -> Status {
+    Result<Answer> r = call(s, version);
+    if (!r.ok()) return r.status();
+    parts[s] = std::move(r).value();
+    return Status::OK();
+  };
 }
 
 const char* BreakerName(BreakerState state) {
@@ -92,22 +58,15 @@ DistRouter::DistRouter(ShardedManifest manifest,
       dim_(manifest.dim),
       endpoints_(std::move(endpoints)),
       sequence_(manifest.sequence),
-      insert_counter_(manifest.insert_counter),
-      live_points_(manifest.live_points) {
-  owner_ = std::move(manifest.owner);
-  to_global_.resize(shard_count_);
-  std::vector<std::vector<VectorId>> maps(shard_count_);
-  for (size_t g = 0; g < owner_.size(); ++g) {
-    maps[owner_[g]].push_back(static_cast<VectorId>(g));
-  }
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    to_global_[s] =
-        std::make_shared<const std::vector<VectorId>>(std::move(maps[s]));
+      live_points_(manifest.live_points),
+      map_(manifest.shard_count, std::move(manifest.owner),
+           manifest.insert_counter),
+      admitted_muts_(shard_count_, 0),
+      desynced_(shard_count_, false) {
+  for (uint32_t s = 0; s < shard_count_ && s < endpoints_.size(); ++s) {
     clients_.push_back(std::make_unique<ShardClient>(
         endpoints_[s].host, endpoints_[s].port, client_options));
   }
-  admitted_muts_.assign(shard_count_, 0);
-  desynced_.assign(shard_count_, false);
 }
 
 DistRouter::~DistRouter() { Shutdown(); }
@@ -144,90 +103,31 @@ Status DistRouter::Connect() {
           std::to_string(info.value().live_points) + " != manifest " +
           std::to_string(live_points_));
     }
-    if (info.value().live_weights != to_global_[s]->size()) {
+    if (info.value().live_weights != map_.shard_weights(s)) {
       return Status::InvalidArgument(
           "shard " + std::to_string(s) + " live weights " +
           std::to_string(info.value().live_weights) +
-          " != manifest owner map " +
-          std::to_string(to_global_[s]->size()));
+          " != manifest owner map " + std::to_string(map_.shard_weights(s)));
     }
     // The shard's boot version is its local baseline; every admitted
     // mutation advances it by one, which each response re-verifies.
     admitted_muts_[s] = boot_version;
   }
-  lanes_.clear();
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    lanes_[s]->thread = std::thread(&DistRouter::LaneLoop, this, s);
-  }
-  started_ = true;
+  lanes_ = std::make_unique<ShardLanes>(shard_count_);
   return Status::OK();
 }
 
-void DistRouter::Shutdown() {
-  if (!started_ || shutdown_done_) return;
-  shutdown_done_ = true;
-  for (auto& lane : lanes_) {
-    {
-      std::lock_guard<std::mutex> lk(lane->mu);
-      lane->stop = true;
-    }
-    lane->cv.notify_all();
-  }
-  for (auto& lane : lanes_) {
-    if (lane->thread.joinable()) lane->thread.join();
-  }
-}
+void DistRouter::Shutdown() { lanes_.reset(); }
 
-void DistRouter::LaneLoop(size_t s) {
-  Lane& lane = *lanes_[s];
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(lane.mu);
-      lane.cv.wait(lk, [&] { return lane.stop || !lane.q.empty(); });
-      if (lane.q.empty()) {
-        if (lane.stop) return;
-        continue;
-      }
-      task = std::move(lane.q.front());
-      lane.q.pop_front();
-    }
-    task();
-  }
-}
-
-void DistRouter::EnqueueLocked(size_t s, std::function<void()> task) {
-  Lane& lane = *lanes_[s];
-  {
-    std::lock_guard<std::mutex> lk(lane.mu);
-    lane.q.push_back(std::move(task));
-  }
-  lane.cv.notify_one();
-}
-
-void DistRouter::Finish(OpSync& sync) {
-  {
-    std::lock_guard<std::mutex> lk(sync.mu);
-    --sync.remaining;
-  }
-  sync.cv.notify_one();
-}
-
-void DistRouter::Wait(OpSync& sync, size_t expected) {
-  (void)expected;
-  std::unique_lock<std::mutex> lk(sync.mu);
-  sync.cv.wait(lk, [&] { return sync.remaining == 0; });
-}
-
-void DistRouter::MarkDesyncedLocked(size_t s, const char* why) {
-  (void)why;
+void DistRouter::MarkDesyncedLocked(size_t s) {
   if (!desynced_[s]) {
     desynced_[s] = true;
     desync_events_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+uint64_t DistRouter::all_shards_mask() const {
+  return shard_count_ >= 64 ? ~uint64_t{0} : Bit(shard_count_) - 1;
 }
 
 uint64_t DistRouter::sequence() const {
@@ -242,154 +142,136 @@ uint64_t DistRouter::live_points() const {
 
 uint64_t DistRouter::live_weights() const {
   std::lock_guard<std::mutex> lk(seq_mu_);
-  return owner_.size();
+  return map_.live_weights();
 }
 
 uint64_t DistRouter::live_mask() const {
   std::lock_guard<std::mutex> lk(seq_mu_);
+  return LiveMaskLocked();
+}
+
+uint64_t DistRouter::LiveMaskLocked() const {
   uint64_t mask = 0;
   for (uint32_t s = 0; s < shard_count_; ++s) {
-    if (!desynced_[s]) mask |= uint64_t{1} << s;
+    if (!desynced_[s]) mask |= Bit(s);
   }
   return mask;
 }
 
-// ---- Mutations ---------------------------------------------------------
+// ---- Fan-out -----------------------------------------------------------
+
+bool DistRouter::AckIfUnreachable(uint64_t needed, DistCoverage* out) {
+  if ((needed & LiveMaskLocked()) != 0) return false;
+  Cover(sequence_, 0, needed, shard_count_, degraded_mutations_, out);
+  return true;
+}
+
+Status DistRouter::Apply(std::unique_lock<std::mutex> lk, uint64_t needed,
+                         const ShardRpc& rpc, DistCoverage* out) {
+  const uint32_t n = shard_count_;
+  const uint64_t reachable = needed & LiveMaskLocked();
+  std::vector<uint32_t> targets;
+  for (uint32_t s = 0; s < n; ++s) {
+    if ((reachable & Bit(s)) != 0) targets.push_back(s);
+  }
+  std::vector<Status> statuses(n);
+  std::vector<uint64_t> versions(n, 0);
+  std::vector<uint64_t> expected(n, 0);
+  const uint64_t version = ++sequence_;
+  for (uint32_t s : targets) expected[s] = ++admitted_muts_[s];
+  lanes_->FanOut(
+      targets, [&](size_t s) { statuses[s] = rpc(s, &versions[s]); }, lk);
+
+  uint64_t coverage = 0;
+  lk.lock();
+  for (uint32_t s : targets) {
+    if (statuses[s].ok() && versions[s] == expected[s]) {
+      coverage |= Bit(s);
+    } else {
+      // Mutations are never retried: a failed or diverged apply leaves the
+      // shard's history unknown.
+      MarkDesyncedLocked(s);
+    }
+  }
+  lk.unlock();
+  // A weight op needs only its owner: covering that one shard is full
+  // coverage for the op.
+  Cover(version, coverage, needed, n, degraded_mutations_, out);
+  return Status::OK();
+}
+
+std::vector<uint32_t> DistRouter::FanOutQuery(
+    const ShardRpc& rpc, std::vector<ShardMap::IdMap>* maps,
+    DistCoverage* out) {
+  const uint32_t n = shard_count_;
+  std::vector<uint32_t> targets;
+  std::vector<Status> statuses(n);
+  std::vector<uint64_t> versions(n, 0);
+  std::vector<uint64_t> expected(n, 0);
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  const uint64_t version = sequence_;
+  *maps = map_.Pin();  // the admission-time cut's id mapping
+  for (uint32_t s = 0; s < n; ++s) {
+    if (desynced_[s] || !clients_[s]->BreakerAllows()) continue;
+    targets.push_back(s);
+    expected[s] = admitted_muts_[s];
+  }
+  lanes_->FanOut(
+      targets, [&](size_t s) { statuses[s] = rpc(s, &versions[s]); }, lk);
+
+  std::vector<uint32_t> covered;
+  uint64_t coverage = 0;
+  lk.lock();
+  for (uint32_t s : targets) {
+    if (!statuses[s].ok()) continue;  // idempotent miss: no desync
+    if (versions[s] != expected[s]) {
+      // The shard executed at a version the router never admitted — an
+      // out-of-band writer. Its answers can no longer be merged.
+      MarkDesyncedLocked(s);
+      continue;
+    }
+    coverage |= Bit(s);
+    covered.push_back(s);
+  }
+  lk.unlock();
+  Cover(version, coverage, all_shards_mask(), n, degraded_queries_, out);
+  return covered;
+}
+
+// ---- Mutations (admission order = lane FIFO order) ---------------------
 
 Status DistRouter::InsertPoint(ConstRow p, DistCoverage* out) {
   if (p.size() != dim_) {
     return Status::InvalidArgument("row width does not match dim");
   }
-  Status vst = ValidateRowValues(p);
-  if (!vst.ok()) return vst;
-
-  const uint32_t n = shard_count_;
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!desynced_[s]) {
-        target[s] = 1;
-        ++targets;
-      }
-    }
-    if (targets == 0) {
-      // Nothing left to apply to; nothing applied, no sequence consumed.
-      out->version = sequence_;
-      out->coverage = 0;
-      out->shard_count = n;
-      out->degraded = true;
-      degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    version = ++sequence_;
-    ++live_points_;
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      expected[s] = ++admitted_muts_[s];
-      EnqueueLocked(s, [this, s, p, &statuses, &versions, &sync] {
-        statuses[s] = clients_[s]->InsertPoint(p, &versions[s]);
-        Finish(sync);
-      });
-    }
+  if (!RowValuesValid(p)) {
+    return Status::InvalidArgument(
+        "dataset values must be finite and non-negative");
   }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) {
-        MarkDesyncedLocked(s, "insert-point rpc failed");
-      } else if (versions[s] != expected[s]) {
-        MarkDesyncedLocked(s, "insert-point version mismatch");
-      } else {
-        coverage |= uint64_t{1} << s;
-      }
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  if (AckIfUnreachable(all_shards_mask(), out)) return Status::OK();
+  ++live_points_;
+  return Apply(
+      std::move(lk), all_shards_mask(),
+      [this, p](size_t s, uint64_t* v) {
+        return clients_[s]->InsertPoint(p, v);
+      },
+      out);
 }
 
 Status DistRouter::DeletePoint(VectorId live_id, DistCoverage* out) {
-  const uint32_t n = shard_count_;
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    if (live_id >= live_points_) {
-      return Status::InvalidArgument("point live id out of range");
-    }
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!desynced_[s]) {
-        target[s] = 1;
-        ++targets;
-      }
-    }
-    if (targets == 0) {
-      out->version = sequence_;
-      out->coverage = 0;
-      out->shard_count = n;
-      out->degraded = true;
-      degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    version = ++sequence_;
-    --live_points_;
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      expected[s] = ++admitted_muts_[s];
-      EnqueueLocked(s, [this, s, live_id, &statuses, &versions, &sync] {
-        statuses[s] = clients_[s]->DeletePoint(live_id, &versions[s]);
-        Finish(sync);
-      });
-    }
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  if (live_id >= live_points_) {
+    return Status::InvalidArgument("point live id out of range");
   }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) {
-        MarkDesyncedLocked(s, "delete-point rpc failed");
-      } else if (versions[s] != expected[s]) {
-        MarkDesyncedLocked(s, "delete-point version mismatch");
-      } else {
-        coverage |= uint64_t{1} << s;
-      }
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  if (AckIfUnreachable(all_shards_mask(), out)) return Status::OK();
+  --live_points_;
+  return Apply(
+      std::move(lk), all_shards_mask(),
+      [this, live_id](size_t s, uint64_t* v) {
+        return clients_[s]->DeletePoint(live_id, v);
+      },
+      out);
 }
 
 Status DistRouter::InsertWeight(ConstRow w, DistCoverage* out) {
@@ -398,277 +280,70 @@ Status DistRouter::InsertWeight(ConstRow w, DistCoverage* out) {
   }
   Status vst = ValidateWeight(w, 1e-6);
   if (!vst.ok()) return vst;
-
-  const uint32_t n = shard_count_;
-  Status status;
-  uint64_t shard_version = 0;
-  uint64_t expected = 0;
-  uint32_t owner = 0;
-  OpSync sync;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    owner = static_cast<uint32_t>(insert_counter_ % n);
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  const uint64_t needed = Bit(map_.next_owner());
+  if (AckIfUnreachable(needed, out)) {
     // The round-robin cursor advances even when the owner is dead —
     // otherwise every future insert would route to the same dead shard.
-    ++insert_counter_;
-    if (desynced_[owner]) {
-      out->version = sequence_;
-      out->coverage = 0;
-      out->shard_count = n;
-      out->degraded = true;
-      degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    version = ++sequence_;
-    expected = ++admitted_muts_[owner];
-    const VectorId g = static_cast<VectorId>(owner_.size());
-    owner_.push_back(owner);
-    auto next = std::make_shared<std::vector<VectorId>>(*to_global_[owner]);
-    next->push_back(g);
-    to_global_[owner] = std::move(next);
-    sync.remaining = 1;
-    EnqueueLocked(owner, [this, owner, w, &status, &shard_version, &sync] {
-      status = clients_[owner]->InsertWeight(w, &shard_version);
-      Finish(sync);
-    });
+    map_.SkipWeight();
+    return Status::OK();
   }
-  Wait(sync, 1);
-
-  uint64_t coverage = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    if (!status.ok()) {
-      MarkDesyncedLocked(owner, "insert-weight rpc failed");
-    } else if (shard_version != expected) {
-      MarkDesyncedLocked(owner, "insert-weight version mismatch");
-    } else {
-      coverage = uint64_t{1} << owner;
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  // A single-owner op is degraded only if its owner failed to apply it:
-  // coverage of the one shard the op needed is full coverage for the op.
-  out->degraded = coverage == 0;
-  if (out->degraded) {
-    degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  map_.AddWeight();
+  return Apply(
+      std::move(lk), needed,
+      [this, w](size_t s, uint64_t* v) {
+        return clients_[s]->InsertWeight(w, v);
+      },
+      out);
 }
 
 Status DistRouter::DeleteWeight(VectorId live_id, DistCoverage* out) {
-  const uint32_t n = shard_count_;
-  Status status;
-  uint64_t shard_version = 0;
-  uint64_t expected = 0;
-  uint32_t owner = 0;
-  OpSync sync;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    if (live_id >= owner_.size()) {
-      return Status::InvalidArgument("weight live id out of range");
-    }
-    owner = owner_[live_id];
-    if (desynced_[owner]) {
-      // The owner is gone; the weight cannot be removed, and the owner
-      // map keeps the entry so the global live-id space stays aligned
-      // with what clients observe.
-      out->version = sequence_;
-      out->coverage = 0;
-      out->shard_count = n;
-      out->degraded = true;
-      degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    // The shard-local id is this weight's position in its owner's
-    // local→global map (strictly increasing, so a binary search) — the
-    // wire carries shard-local ids, exactly as the in-process lane does.
-    const std::vector<VectorId>& map = *to_global_[owner];
-    const uint64_t local = static_cast<uint64_t>(
-        std::lower_bound(map.begin(), map.end(), live_id) - map.begin());
-    version = ++sequence_;
-    expected = ++admitted_muts_[owner];
-    owner_.erase(owner_.begin() + live_id);
-    // Every later global id shifts down by one — republish every shard's
-    // map, keeping in-flight queries on their admission-time cut.
-    for (uint32_t t = 0; t < n; ++t) {
-      const std::vector<VectorId>& old = *to_global_[t];
-      auto next = std::make_shared<std::vector<VectorId>>();
-      next->reserve(old.size());
-      for (VectorId g : old) {
-        if (g == live_id) continue;  // only ever true for t == owner
-        next->push_back(g > live_id ? g - 1 : g);
-      }
-      to_global_[t] = std::move(next);
-    }
-    sync.remaining = 1;
-    EnqueueLocked(owner, [this, owner, local, &status, &shard_version, &sync] {
-      status = clients_[owner]->DeleteWeight(local, &shard_version);
-      Finish(sync);
-    });
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  if (live_id >= map_.live_weights()) {
+    return Status::InvalidArgument("weight live id out of range");
   }
-  Wait(sync, 1);
-
-  uint64_t coverage = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    if (!status.ok()) {
-      MarkDesyncedLocked(owner, "delete-weight rpc failed");
-    } else if (shard_version != expected) {
-      MarkDesyncedLocked(owner, "delete-weight version mismatch");
-    } else {
-      coverage = uint64_t{1} << owner;
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage == 0;
-  if (out->degraded) {
-    degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  // With the owner gone the weight cannot be removed, and the map keeps
+  // the entry so the global live-id space stays aligned with what
+  // clients observe.
+  const uint64_t needed = Bit(map_.owner_of(live_id));
+  if (AckIfUnreachable(needed, out)) return Status::OK();
+  // The wire carries shard-local ids, exactly as the in-process lane does.
+  const uint64_t local = map_.LocalId(live_id);
+  map_.RemoveWeight(live_id);
+  return Apply(
+      std::move(lk), needed,
+      [this, local](size_t s, uint64_t* v) {
+        return clients_[s]->DeleteWeight(local, v);
+      },
+      out);
 }
 
 Status DistRouter::Compact(DistCoverage* out) {
-  const uint32_t n = shard_count_;
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!desynced_[s]) {
-        target[s] = 1;
-        ++targets;
-      }
-    }
-    if (targets == 0) {
-      out->version = sequence_;
-      out->coverage = 0;
-      out->shard_count = n;
-      out->degraded = true;
-      degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    version = ++sequence_;
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      expected[s] = ++admitted_muts_[s];
-      EnqueueLocked(s, [this, s, &statuses, &versions, &sync] {
-        statuses[s] = clients_[s]->Compact(&versions[s]);
-        Finish(sync);
-      });
-    }
-  }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) {
-        MarkDesyncedLocked(s, "compact rpc failed");
-      } else if (versions[s] != expected[s]) {
-        MarkDesyncedLocked(s, "compact version mismatch");
-      } else {
-        coverage |= uint64_t{1} << s;
-      }
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  if (AckIfUnreachable(all_shards_mask(), out)) return Status::OK();
+  return Apply(
+      std::move(lk), all_shards_mask(),
+      [this](size_t s, uint64_t* v) { return clients_[s]->Compact(v); },
+      out);
 }
 
-// ---- Queries -----------------------------------------------------------
+// ---- Queries (fan-out, per-shard version pinning, k-way merge) ---------
 
 Result<ReverseTopKResult> DistRouter::ReverseTopK(ConstRow q, size_t k,
                                                   DistCoverage* out) {
   if (q.size() != dim_) {
     return Status::InvalidArgument("query dimension does not match");
   }
-  const uint32_t n = shard_count_;
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  std::vector<ReverseTopKResult> parts(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    version = sequence_;
-    maps = to_global_;  // pin the admission-time cut's id mapping
-    for (uint32_t s = 0; s < n; ++s) {
-      if (desynced_[s] || !clients_[s]->BreakerAllows()) continue;
-      target[s] = 1;
-      ++targets;
-      expected[s] = admitted_muts_[s];
-    }
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      EnqueueLocked(s, [this, s, q, k, &statuses, &versions, &parts, &sync] {
-        Result<ReverseTopKResult> r = clients_[s]->ReverseTopK(
-            q, static_cast<uint32_t>(k), &versions[s]);
-        if (r.ok()) {
-          parts[s] = std::move(r).value();
-          statuses[s] = Status::OK();
-        } else {
-          statuses[s] = r.status();
-        }
-        Finish(sync);
-      });
-    }
-  }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  std::vector<ReverseTopKResult> covered;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) continue;  // idempotent miss: no desync
-      if (versions[s] != expected[s]) {
-        // The shard executed at a version the router never admitted —
-        // an out-of-band writer. Its answers can no longer be merged.
-        MarkDesyncedLocked(s, "query version mismatch");
-        continue;
-      }
-      coverage |= uint64_t{1} << s;
-      ReverseTopKResult mapped;
-      mapped.reserve(parts[s].size());
-      const std::vector<VectorId>& map = *maps[s];
-      for (VectorId id : parts[s]) mapped.push_back(map[id]);
-      covered.push_back(std::move(mapped));
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return MergeRtk(covered);
+  std::vector<ReverseTopKResult> parts(shard_count_);
+  std::vector<ShardMap::IdMap> maps;
+  const std::vector<uint32_t> covered = FanOutQuery(
+      StoreInto(parts,
+                [&](size_t s, uint64_t* v) {
+                  return clients_[s]->ReverseTopK(
+                      q, static_cast<uint32_t>(k), v);
+                }),
+      &maps, out);
+  return MergeShards(parts, maps, covered, k);
 }
 
 Result<ReverseKRanksResult> DistRouter::ReverseKRanks(ConstRow q, size_t k,
@@ -677,83 +352,32 @@ Result<ReverseKRanksResult> DistRouter::ReverseKRanks(ConstRow q, size_t k,
   if (q.size() != dim_) {
     return Status::InvalidArgument("query dimension does not match");
   }
-  const uint32_t n = shard_count_;
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  std::vector<ReverseKRanksResult> parts(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
+  std::vector<ReverseKRanksResult> parts(shard_count_);
+  std::vector<ShardMap::IdMap> maps;
   // The shared global-k-th bound of DESIGN.md §15, shipped per request:
   // each lane reads the tightest bound known at its dispatch moment, and
   // every full top-k answer tightens it (a subset's k-th rank is always
   // an upper bound on the global k-th rank, so the cap stays sound).
   std::atomic<int64_t> cap{initial_cap};
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    version = sequence_;
-    maps = to_global_;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (desynced_[s] || !clients_[s]->BreakerAllows()) continue;
-      target[s] = 1;
-      ++targets;
-      expected[s] = admitted_muts_[s];
-    }
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      EnqueueLocked(
-          s, [this, s, q, k, &cap, &statuses, &versions, &parts, &sync] {
-            const int64_t bound = cap.load(std::memory_order_relaxed);
-            Result<ReverseKRanksResult> r = clients_[s]->ReverseKRanksCapped(
-                q, static_cast<uint32_t>(k), bound, &versions[s]);
-            if (r.ok()) {
-              parts[s] = std::move(r).value();
-              statuses[s] = Status::OK();
-              if (parts[s].size() >= k && k > 0) {
-                int64_t kth = parts[s].back().rank;
-                int64_t cur = cap.load(std::memory_order_relaxed);
-                while (kth < cur && !cap.compare_exchange_weak(
-                                        cur, kth, std::memory_order_relaxed)) {
-                }
-              }
-            } else {
-              statuses[s] = r.status();
-            }
-            Finish(sync);
-          });
-    }
-  }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  std::vector<ReverseKRanksResult> covered;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) continue;
-      if (versions[s] != expected[s]) {
-        MarkDesyncedLocked(s, "query version mismatch");
-        continue;
-      }
-      coverage |= uint64_t{1} << s;
-      const std::vector<VectorId>& map = *maps[s];
-      for (RankedWeight& e : parts[s]) e.weight_id = map[e.weight_id];
-      covered.push_back(std::move(parts[s]));
-    }
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return MergeRkr(covered, k);
+  const std::vector<uint32_t> covered = FanOutQuery(
+      StoreInto(parts,
+                [&](size_t s, uint64_t* v) {
+                  Result<ReverseKRanksResult> r =
+                      clients_[s]->ReverseKRanksCapped(
+                          q, static_cast<uint32_t>(k),
+                          cap.load(std::memory_order_relaxed), v);
+                  if (r.ok() && k > 0 && r.value().size() >= k) {
+                    const int64_t kth = r.value().back().rank;
+                    int64_t cur = cap.load(std::memory_order_relaxed);
+                    while (kth < cur &&
+                           !cap.compare_exchange_weak(
+                               cur, kth, std::memory_order_relaxed)) {
+                    }
+                  }
+                  return r;
+                }),
+      &maps, out);
+  return MergeShards(parts, maps, covered, k);
 }
 
 Result<std::vector<ReverseTopKResult>> DistRouter::ReverseTopKBatch(
@@ -761,82 +385,19 @@ Result<std::vector<ReverseTopKResult>> DistRouter::ReverseTopKBatch(
   if (queries.dim() != dim_) {
     return Status::InvalidArgument("query dimension does not match");
   }
-  const uint32_t n = shard_count_;
   const size_t nq = queries.size();
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  std::vector<std::vector<ReverseTopKResult>> parts(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    version = sequence_;
-    maps = to_global_;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (desynced_[s] || !clients_[s]->BreakerAllows()) continue;
-      target[s] = 1;
-      ++targets;
-      expected[s] = admitted_muts_[s];
-    }
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      EnqueueLocked(s, [this, s, &queries, k, &statuses, &versions, &parts,
-                        &sync] {
-        Result<std::vector<ReverseTopKResult>> r =
-            clients_[s]->ReverseTopKBatch(queries, static_cast<uint32_t>(k),
-                                          &versions[s]);
-        if (r.ok()) {
-          parts[s] = std::move(r).value();
-          statuses[s] = Status::OK();
-        } else {
-          statuses[s] = r.status();
-        }
-        Finish(sync);
-      });
-    }
-  }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  std::vector<uint32_t> covered_shards;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) continue;
-      if (versions[s] != expected[s] || parts[s].size() != nq) {
-        MarkDesyncedLocked(s, "batch query version mismatch");
-        continue;
-      }
-      coverage |= uint64_t{1} << s;
-      covered_shards.push_back(s);
-    }
-  }
-  std::vector<ReverseTopKResult> merged(nq);
-  std::vector<ReverseTopKResult> scratch(covered_shards.size());
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (size_t i = 0; i < covered_shards.size(); ++i) {
-      const uint32_t s = covered_shards[i];
-      const std::vector<VectorId>& map = *maps[s];
-      scratch[i].clear();
-      scratch[i].reserve(parts[s][qi].size());
-      for (VectorId id : parts[s][qi]) scratch[i].push_back(map[id]);
-    }
-    merged[qi] = MergeRtk(scratch);
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return merged;
+  std::vector<std::vector<ReverseTopKResult>> parts(shard_count_);
+  std::vector<ShardMap::IdMap> maps;
+  const std::vector<uint32_t> covered = FanOutQuery(
+      StoreInto(parts,
+                [&](size_t s, uint64_t* v) {
+                  auto r = clients_[s]->ReverseTopKBatch(
+                      queries, static_cast<uint32_t>(k), v);
+                  if (r.ok() && r.value().size() != nq) *v = kNoVersion;
+                  return r;
+                }),
+      &maps, out);
+  return MergeShardBatches(parts, maps, covered, k, nq);
 }
 
 Result<std::vector<ReverseKRanksResult>> DistRouter::ReverseKRanksBatch(
@@ -844,82 +405,19 @@ Result<std::vector<ReverseKRanksResult>> DistRouter::ReverseKRanksBatch(
   if (queries.dim() != dim_) {
     return Status::InvalidArgument("query dimension does not match");
   }
-  const uint32_t n = shard_count_;
   const size_t nq = queries.size();
-  std::vector<uint8_t> target(n, 0);
-  std::vector<Status> statuses(n);
-  std::vector<uint64_t> versions(n, 0);
-  std::vector<uint64_t> expected(n, 0);
-  std::vector<std::vector<ReverseKRanksResult>> parts(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  size_t targets = 0;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    version = sequence_;
-    maps = to_global_;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (desynced_[s] || !clients_[s]->BreakerAllows()) continue;
-      target[s] = 1;
-      ++targets;
-      expected[s] = admitted_muts_[s];
-    }
-    sync.remaining = targets;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      EnqueueLocked(s, [this, s, &queries, k, &statuses, &versions, &parts,
-                        &sync] {
-        Result<std::vector<ReverseKRanksResult>> r =
-            clients_[s]->ReverseKRanksBatch(queries, static_cast<uint32_t>(k),
-                                            &versions[s]);
-        if (r.ok()) {
-          parts[s] = std::move(r).value();
-          statuses[s] = Status::OK();
-        } else {
-          statuses[s] = r.status();
-        }
-        Finish(sync);
-      });
-    }
-  }
-  Wait(sync, targets);
-
-  uint64_t coverage = 0;
-  std::vector<uint32_t> covered_shards;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    for (uint32_t s = 0; s < n; ++s) {
-      if (!target[s]) continue;
-      if (!statuses[s].ok()) continue;
-      if (versions[s] != expected[s] || parts[s].size() != nq) {
-        MarkDesyncedLocked(s, "batch query version mismatch");
-        continue;
-      }
-      coverage |= uint64_t{1} << s;
-      covered_shards.push_back(s);
-      const std::vector<VectorId>& map = *maps[s];
-      for (ReverseKRanksResult& qr : parts[s]) {
-        for (RankedWeight& e : qr) e.weight_id = map[e.weight_id];
-      }
-    }
-  }
-  std::vector<ReverseKRanksResult> merged(nq);
-  std::vector<ReverseKRanksResult> scratch(covered_shards.size());
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (size_t i = 0; i < covered_shards.size(); ++i) {
-      scratch[i] = std::move(parts[covered_shards[i]][qi]);
-    }
-    merged[qi] = MergeRkr(scratch, k);
-  }
-  out->version = version;
-  out->coverage = coverage;
-  out->shard_count = n;
-  out->degraded = coverage != (n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1);
-  if (out->degraded) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return merged;
+  std::vector<std::vector<ReverseKRanksResult>> parts(shard_count_);
+  std::vector<ShardMap::IdMap> maps;
+  const std::vector<uint32_t> covered = FanOutQuery(
+      StoreInto(parts,
+                [&](size_t s, uint64_t* v) {
+                  auto r = clients_[s]->ReverseKRanksBatch(
+                      queries, static_cast<uint32_t>(k), v);
+                  if (r.ok() && r.value().size() != nq) *v = kNoVersion;
+                  return r;
+                }),
+      &maps, out);
+  return MergeShardBatches(parts, maps, covered, k, nq);
 }
 
 // ---- STATS -------------------------------------------------------------
@@ -932,7 +430,7 @@ std::string DistRouter::RenderStats() const {
     std::lock_guard<std::mutex> lk(seq_mu_);
     seq = sequence_;
     points = live_points_;
-    weights = owner_.size();
+    weights = map_.live_weights();
     desynced = desynced_;
   }
   out << "router.sequence " << seq << "\n";
@@ -958,9 +456,7 @@ std::string DistRouter::RenderStats() const {
     out << p << "breaker " << BreakerName(snap.breaker) << "\n";
     out << p << "desynced " << (desynced[s] ? 1 : 0) << "\n";
     out << p << "rtt_us_hist";
-    for (int b = 0; b < ShardClient::kRttBuckets; ++b) {
-      out << " " << snap.rtt_hist[b];
-    }
+    for (uint64_t count : snap.rtt_hist) out << " " << count;
     out << "\n";
   }
   return out.str();

@@ -2,23 +2,22 @@
 #define GIR_DIST_ROUTER_CORE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/query_types.h"
+#include "core/shard_lanes.h"
 #include "core/status.h"
 #include "core/types.h"
 #include "dist/shard_client.h"
 #include "grid/index_io.h"
+#include "grid/shard_map.h"
 
 namespace gir {
 
@@ -43,17 +42,17 @@ struct DistCoverage {
 /// ShardedGirIndex admission protocol reproduced over GIRNET01 against N
 /// remote `gir_serve` shard processes (DESIGN.md §18).
 ///
-/// Consistency model. One FIFO lane (thread + queue + one blocking
-/// connection) per shard, mirroring the in-process per-shard serial
-/// lanes. Admission = enqueueing onto the lanes under seq_mu_, so every
-/// lane observes the one global admission order; a query pins, at its
+/// Consistency model. One FIFO lane per shard (core/shard_lanes.h, the
+/// executor ShardedGirIndex runs on) driving one blocking connection.
+/// Admission = posting onto the lanes under seq_mu_, so every lane
+/// observes the one global admission order; a query pins, at its
 /// admission point, the per-shard expected version (the count of
 /// mutations the router has admitted to that shard) and the COW
-/// local→global weight-id maps, then verifies each shard's response
-/// executed at exactly the pinned version. A mismatch means an
-/// out-of-band writer or a lost mutation — the shard is marked desynced
-/// and excluded from all further coverage rather than risking a wrong
-/// merge.
+/// local→global weight-id maps (ShardMap, grid/shard_map.h), then
+/// verifies each shard's response executed at exactly the pinned
+/// version. A mismatch means an out-of-band writer or a lost mutation —
+/// the shard is marked desynced and excluded from all further coverage
+/// rather than risking a wrong merge.
 ///
 /// Failure model. Query RPCs are idempotent: bounded retry with
 /// reconnect and backoff inside ShardClient, and a shard that still
@@ -125,45 +124,48 @@ class DistRouter {
   std::string RenderStats() const;
 
  private:
-  struct Lane {
-    std::thread thread;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::function<void()>> q;
-    bool stop = false;
-  };
+  /// One shard's RPC of a fan-out: runs on shard s's lane, fills the
+  /// caller's slot for s and reports the version the shard executed at.
+  using ShardRpc = std::function<Status(size_t s, uint64_t* version)>;
 
-  /// Completion latch for one fan-out.
-  struct OpSync {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining = 0;
-  };
-
-  void LaneLoop(size_t s);
-  /// REQUIRES seq_mu_: appends a task to lane s in admission order.
-  void EnqueueLocked(size_t s, std::function<void()> task);
-  static void Finish(OpSync& sync);
-  static void Wait(OpSync& sync, size_t expected);
+  /// REQUIRES seq_mu_ (held by `lk`), the op validated and `needed` (the
+  /// shards the op must reach: all for a broadcast, the owner for a weight
+  /// op) non-empty among the live shards. Claims the next sequence
+  /// number, runs `rpc` on every live needed shard, releases the lock and
+  /// waits, then verifies each shard's version — desyncing any that failed
+  /// or diverged. The ack is degraded unless every needed shard applied it.
+  Status Apply(std::unique_lock<std::mutex> lk, uint64_t needed,
+               const ShardRpc& rpc, DistCoverage* out);
+  /// REQUIRES seq_mu_. When none of `needed` is live, fills `out` with a
+  /// degraded, empty-coverage ack (nothing applied, no sequence consumed)
+  /// and returns true.
+  bool AckIfUnreachable(uint64_t needed, DistCoverage* out);
+  /// Runs `rpc` on every live shard whose breaker admits it, pinned at the
+  /// current admitted cut, and waits. Returns the shards whose answers
+  /// verify at their pinned version (ascending); `maps` receives the id
+  /// maps of that cut. Fills `out`.
+  std::vector<uint32_t> FanOutQuery(const ShardRpc& rpc,
+                                    std::vector<ShardMap::IdMap>* maps,
+                                    DistCoverage* out);
 
   /// REQUIRES seq_mu_. Marks shard s desynced (permanently excluded).
-  void MarkDesyncedLocked(size_t s, const char* why);
+  void MarkDesyncedLocked(size_t s);
+  /// REQUIRES seq_mu_. Bitmap of shards that are not desynced.
+  uint64_t LiveMaskLocked() const;
+  uint64_t all_shards_mask() const;
 
   uint32_t shard_count_ = 0;
   uint32_t dim_ = 0;
   std::vector<ShardEndpoint> endpoints_;
   std::vector<std::unique_ptr<ShardClient>> clients_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::unique_ptr<ShardLanes> lanes_;
 
   /// Admission state, all under seq_mu_ (the seq_mu_ of DESIGN.md §15,
   /// now spanning processes).
   mutable std::mutex seq_mu_;
-  uint64_t sequence_ = 0;        ///< Admitted mutations (version stamp).
-  uint64_t insert_counter_ = 0;  ///< Round-robin weight placement cursor.
+  uint64_t sequence_ = 0;  ///< Admitted mutations (version stamp).
   uint64_t live_points_ = 0;
-  std::vector<uint32_t> owner_;  ///< Owning shard per global live weight.
-  /// COW local→global maps, one per shard, pinned per query.
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> to_global_;
+  ShardMap map_;
   /// Mutations admitted to each shard = that shard's expected version.
   std::vector<uint64_t> admitted_muts_;
   std::vector<bool> desynced_;
@@ -171,9 +173,6 @@ class DistRouter {
   std::atomic<uint64_t> degraded_queries_{0};
   std::atomic<uint64_t> degraded_mutations_{0};
   std::atomic<uint64_t> desync_events_{0};
-
-  bool started_ = false;
-  bool shutdown_done_ = false;
 };
 
 /// Parses "host:port[,host:port...]" into endpoints.

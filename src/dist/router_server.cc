@@ -7,24 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "core/dataset.h"
 
 namespace gir {
-
-namespace {
-
-bool ValidQueryValues(const std::vector<double>& values) {
-  for (double v : values) {
-    if (!std::isfinite(v) || v < 0.0) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 RouterServer::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
@@ -208,7 +196,7 @@ void RouterServer::HandleQuery(const std::shared_ptr<Connection>& conn,
               "query dimension does not match the index");
     return;
   }
-  if (!ValidQueryValues(request.values)) {
+  if (!RowValuesValid(request.values)) {
     SendError(conn, request.verb, NetStatus::kInvalidArgument,
               request.request_id, "query contains NaN or infinity");
     return;

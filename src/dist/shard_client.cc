@@ -8,15 +8,6 @@ namespace gir {
 
 namespace {
 
-int RttBucket(uint64_t us) {
-  int b = 0;
-  while (us > 1 && b < ShardClient::kRttBuckets - 1) {
-    us >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -103,7 +94,7 @@ Status ShardClient::Call(bool idempotent, uint64_t* version_out, Fn&& call) {
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 start)
               .count());
-      rtt_hist_[RttBucket(us)].fetch_add(1, std::memory_order_relaxed);
+      rtt_hist_.Record(us);
       RecordOutcome(true);
       if (version_out != nullptr) *version_out = client_->last_index_version();
       return Status::OK();
@@ -229,9 +220,7 @@ ShardClient::StatsSnapshot ShardClient::Snapshot() const {
   snap.reconnects = reconnects_.load(std::memory_order_relaxed);
   snap.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
   snap.breaker = breaker_state();
-  for (int b = 0; b < kRttBuckets; ++b) {
-    snap.rtt_hist[b] = rtt_hist_[b].load(std::memory_order_relaxed);
-  }
+  snap.rtt_hist = rtt_hist_.Snapshot();
   return snap;
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/dataset.h"
+#include "core/histogram.h"
 #include "core/query_types.h"
 #include "core/status.h"
 #include "server/client.h"
@@ -91,7 +92,6 @@ class ShardClient {
 
   // ---- STATS accounting ------------------------------------------------
 
-  static constexpr int kRttBuckets = 32;
   struct StatsSnapshot {
     uint64_t requests = 0;
     uint64_t failures = 0;
@@ -99,7 +99,7 @@ class ShardClient {
     uint64_t reconnects = 0;
     uint64_t breaker_opens = 0;
     BreakerState breaker = BreakerState::kClosed;
-    uint64_t rtt_hist[kRttBuckets] = {};
+    Pow2Histogram::Counts rtt_hist{};
   };
   StatsSnapshot Snapshot() const;
 
@@ -131,7 +131,7 @@ class ShardClient {
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> breaker_opens_{0};
-  std::atomic<uint64_t> rtt_hist_[kRttBuckets] = {};
+  Pow2Histogram rtt_hist_;
 };
 
 }  // namespace gir

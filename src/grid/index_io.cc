@@ -660,7 +660,7 @@ Status ReadShardedHeader(CheckedReader& reader, const std::string& path,
 }  // namespace
 
 Result<std::unique_ptr<ShardedGirIndex>> LoadShardedIndex(
-    const std::string& path, bool use_workers, bool background_compact) {
+    const std::string& path, bool background_compact) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
   CheckedReader reader(in);
@@ -715,8 +715,7 @@ Result<std::unique_ptr<ShardedGirIndex>> LoadShardedIndex(
   ShardedIndexOptions options;
   options.shards = num_shards;
   options.dynamic = shards[0]->options();
-  options.use_workers = use_workers;
-  options.background_compact = background_compact && use_workers;
+  options.background_compact = background_compact;
   auto index = ShardedGirIndex::FromParts(std::move(options),
                                           std::move(shards), std::move(owner),
                                           sequence, insert_counter);

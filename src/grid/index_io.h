@@ -86,13 +86,12 @@ Status SaveShardedIndex(const std::string& path,
 /// owner map are vetted against the file size and the shard count before
 /// anything is allocated from them; each shard blob is parsed with the
 /// full standalone GIRDYN01 validation battery; and the reassembled
-/// router replays bit-identically to the saved instance. `use_workers`
-/// and `background_compact` pick the execution mode of the loaded router
-/// (the envelope does not pin them — they are deployment choices, not
-/// index state; background compaction requires workers).
+/// router replays bit-identically to the saved instance.
+/// `background_compact` picks the loaded router's compaction mode (the
+/// envelope does not pin it — it is a deployment choice, not index
+/// state).
 Result<std::unique_ptr<ShardedGirIndex>> LoadShardedIndex(
-    const std::string& path, bool use_workers = true,
-    bool background_compact = false);
+    const std::string& path, bool background_compact = false);
 
 /// The GIRSHD01 header + owner map without the shard blobs — what the
 /// distributed router needs to boot: the cluster shape (shard count, dim,

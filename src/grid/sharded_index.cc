@@ -1,16 +1,12 @@
 #include "grid/sharded_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "core/histogram.h"
 
 namespace gir {
 
@@ -18,129 +14,24 @@ namespace {
 
 constexpr size_t kMaxShards = ShardedGirIndex::kMaxShards;
 
-/// Power-of-two latency bucketing, the same scheme ServerMetrics uses:
-/// bucket b counts samples in [2^b, 2^(b+1)).
-constexpr int kLatBuckets = 32;
+using Clock = std::chrono::steady_clock;
 
-int LatBucket(uint64_t v) {
-  int b = 0;
-  while (v > 1 && b < kLatBuckets - 1) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
+uint64_t MicrosSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
 }
 
-uint64_t LatQuantile(const std::atomic<uint64_t>* hist, double q) {
-  uint64_t total = 0;
-  for (int b = 0; b < kLatBuckets; ++b) {
-    total += hist[b].load(std::memory_order_relaxed);
-  }
-  if (total == 0) return 0;
-  const uint64_t target =
-      static_cast<uint64_t>(static_cast<double>(total) * q) + 1;
-  uint64_t seen = 0;
-  for (int b = 0; b < kLatBuckets; ++b) {
-    seen += hist[b].load(std::memory_order_relaxed);
-    if (seen >= target) return uint64_t{1} << (b + 1);
-  }
-  return uint64_t{1} << kLatBuckets;
-}
+Status CompactOp(DynamicGirIndex& index) { return index.Compact(); }
 
 }  // namespace
 
 // ---- Internal structures -------------------------------------------------
 
-/// One unit of shard work. Tasks live on the admitting caller's stack —
-/// every public operation blocks until its tasks complete, so no heap
-/// lifetime management is needed; lanes only ever hold borrowed pointers.
-struct ShardedGirIndex::ShardTask {
-  enum class Kind : uint8_t {
-    kInsertPoint,
-    kDeletePoint,
-    kInsertWeight,
-    kDeleteWeight,
-    kCompact,
-    kQuery,
-    /// Background compaction (worker mode only): the marker's lane turn
-    /// (snapshot + start buffering) and the rebuilt base's install turn.
-    /// These are the only heap-allocated, detached tasks.
-    kBgBegin,
-    kBgInstall,
-  };
-
-  Kind kind = Kind::kQuery;
-  uint64_t seq = 0;
-  /// Inline (workers-off) mode: this task's turn on its lane.
-  uint64_t ticket = 0;
-  /// Detached tasks (background compaction) have no waiting caller: the
-  /// worker deletes them after their lane turn instead of signaling.
-  bool detached = false;
-  /// kBgInstall: the replacement index the builder produced (null when
-  /// the rebuild failed — the install turn then just discards the
-  /// marker state and the shard keeps its old base).
-  std::unique_ptr<DynamicGirIndex> install;
-
-  // Mutation payload.
-  const double* row = nullptr;  ///< insert row (borrowed from the caller)
-  size_t row_len = 0;
-  VectorId id = 0;  ///< delete target (shard-local for weights)
-
-  // Query payload.
-  const Dataset* queries = nullptr;  ///< batch form; null for single
-  const double* q = nullptr;         ///< single-query row
-  size_t k = 0;
-  bool rkr = false;
-  std::atomic<int64_t>* cap = nullptr;  ///< shared k-th bound (single RKR)
-
-  // Output slots, owned by the caller's coordination frame.
-  Status* status_out = nullptr;
-  /// Cache-probe slots (point band / inserted-weight τ head), filled on
-  /// the shard's lane turn so they belong to exactly this operation.
-  uint32_t* band_out = nullptr;
-  std::vector<double>* head_out = nullptr;
-  ReverseTopKResult* rtk_out = nullptr;
-  ReverseKRanksResult* rkr_out = nullptr;
-  std::vector<ReverseTopKResult>* rtk_batch_out = nullptr;
-  std::vector<ReverseKRanksResult>* rkr_batch_out = nullptr;
-  QueryStats* stats_out = nullptr;
-
-  OpSync* sync = nullptr;
-};
-
-/// Completion rendezvous for one operation's task group.
-struct ShardedGirIndex::OpSync {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = 0;
-
-  void Done() {
-    std::lock_guard<std::mutex> lk(mu);
-    if (--remaining == 0) cv.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [this] { return remaining == 0; });
-  }
-};
-
-/// Per-shard FIFO. `issued`/`completed` are the lane's ticket clock:
-/// admission stamps tasks with `issued++`, executors run strictly in
-/// ticket order and advance `completed`. In worker mode the deque holds
-/// the pending tasks in that same order; in inline mode callers park on
-/// the cv until their ticket comes up and the deque stays empty.
-struct ShardedGirIndex::Lane {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<ShardTask*> queue;
-  uint64_t issued = 0;
-  uint64_t completed = 0;
-};
-
-/// Monitoring counters, written by whichever thread executes a shard's
-/// tasks (exactly one at a time per shard) and read by anyone. Relaxed
-/// atomics: observational only, except applied_seq whose release store
-/// pairs with Quiesce()/AppliedSeqVector() acquire loads.
+/// Monitoring counters, written by shard s's lane (one task at a time)
+/// and read by anyone. Relaxed atomics: observational only, except
+/// applied_seq whose release store pairs with AppliedSeqVector()'s
+/// acquire loads.
 struct ShardedGirIndex::ShardCounters {
   std::atomic<uint64_t> applied_seq{0};
   std::atomic<uint64_t> tasks{0};
@@ -152,38 +43,41 @@ struct ShardedGirIndex::ShardCounters {
   std::atomic<uint64_t> live_weights{0};
   std::atomic<bool> dirty{false};
   std::atomic<uint64_t> bg_compactions{0};
-  std::atomic<uint64_t> latency_hist[kLatBuckets] = {};
+  Pow2Histogram latency_us;
 };
 
 /// Per-shard background-compaction state. `pending` (marker admitted,
 /// install not yet done — suppresses a second marker) is guarded by
-/// bg_mu_; everything else is touched only by shard s's lane executor,
-/// which runs one task at a time, so it needs no lock.
+/// bg_mu_; everything else is touched only by shard s's lane, which runs
+/// one task at a time, so it needs no lock.
 struct ShardedGirIndex::BgShard {
   struct BufferedOp {
-    ShardTask::Kind kind = ShardTask::Kind::kCompact;
-    std::vector<double> row;
-    VectorId id = 0;
+    ShardOp op;
+    bool ok = true;  ///< the outcome the op had on the old base
   };
 
   bool pending = false;
   /// Set on the marker's lane turn, cleared on the install turn: every
-  /// mutation the lane applies in between is copied here and re-applied
+  /// mutation the lane applies in between is kept here and re-applied
   /// to the rebuilt base before it is swapped in.
   bool buffering = false;
   uint64_t target_generation = 0;
   std::vector<BufferedOp> ops;
 };
 
-/// One rebuild handed to the builder thread: the marker-time live sets
-/// and the generation a synchronous Compact() at the marker would have
-/// produced (what WAL replay runs, so live and recovered states agree).
+/// One rebuild: the marker-time live sets and the generation a
+/// synchronous Compact() at the marker would have produced (what WAL
+/// replay runs, so live and recovered states agree). The builder fills
+/// `built` (left null when the rebuild fails: the install turn then just
+/// drops the marker state and the shard keeps its old base) and hands the
+/// job to the shard's lane.
 struct ShardedGirIndex::BgJob {
   size_t shard = 0;
   Dataset points{0};
   Dataset weights{0};
   DynamicIndexOptions options;
   uint64_t target_generation = 0;
+  std::unique_ptr<DynamicGirIndex> built;
 };
 
 // ---- Construction --------------------------------------------------------
@@ -197,34 +91,21 @@ ShardedGirIndex::ShardedGirIndex(
       dim_(dim),
       shards_(std::move(shards)),
       seq_(sequence),
-      insert_counter_(weight_insert_counter),
-      owner_(std::move(owner)) {
-  const size_t n = shards_.size();
-  live_points_ = shards_[0]->live_point_count();
-  std::vector<std::vector<VectorId>> maps(n);
-  for (size_t g = 0; g < owner_.size(); ++g) {
-    maps[owner_[g]].push_back(static_cast<VectorId>(g));
+      live_points_(shards_[0]->live_point_count()),
+      map_(shards_.size(), std::move(owner), weight_insert_counter) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    all_shards_.push_back(static_cast<uint32_t>(s));
+    bg_.push_back(std::make_unique<BgShard>());
+    auto c = std::make_unique<ShardCounters>();
+    c->applied_seq.store(sequence, std::memory_order_release);
+    c->generation.store(shards_[s]->generation(), std::memory_order_relaxed);
+    c->live_weights.store(shards_[s]->live_weight_count(),
+                          std::memory_order_relaxed);
+    c->dirty.store(shards_[s]->dirty(), std::memory_order_relaxed);
+    counters_.push_back(std::move(c));
   }
-  to_global_.resize(n);
-  lanes_.resize(n);
-  counters_.resize(n);
-  bg_.resize(n);
-  for (size_t s = 0; s < n; ++s) {
-    to_global_[s] =
-        std::make_shared<const std::vector<VectorId>>(std::move(maps[s]));
-    lanes_[s] = std::make_unique<Lane>();
-    counters_[s] = std::make_unique<ShardCounters>();
-    bg_[s] = std::make_unique<BgShard>();
-    counters_[s]->applied_seq.store(sequence, std::memory_order_release);
-    counters_[s]->generation.store(shards_[s]->generation(),
-                                   std::memory_order_relaxed);
-    counters_[s]->live_weights.store(shards_[s]->live_weight_count(),
-                                     std::memory_order_relaxed);
-    counters_[s]->dirty.store(shards_[s]->dirty(),
-                              std::memory_order_relaxed);
-  }
-  if (options_.use_workers) StartWorkers();
-  if (options_.background_compact && options_.use_workers) {
+  lanes_ = std::make_unique<ShardLanes>(shards_.size());
+  if (options_.background_compact) {
     builder_ = std::thread([this] { BuilderMain(); });
   }
 }
@@ -232,7 +113,8 @@ ShardedGirIndex::ShardedGirIndex(
 ShardedGirIndex::~ShardedGirIndex() {
   if (builder_.joinable()) {
     // Drain markers/builds/installs while the lanes are still serving,
-    // then stop the (now idle) builder before tearing the lanes down.
+    // then stop the (now idle) builder. The lanes, destroyed first among
+    // the members, then run what is left and join.
     WaitBackgroundIdle();
     {
       std::lock_guard<std::mutex> lk(bg_mu_);
@@ -240,15 +122,6 @@ ShardedGirIndex::~ShardedGirIndex() {
       bg_cv_.notify_all();
     }
     builder_.join();
-  }
-  Quiesce();
-  stopping_.store(true, std::memory_order_release);
-  for (auto& lane : lanes_) {
-    std::lock_guard<std::mutex> lk(lane->mu);
-    lane->cv.notify_all();
-  }
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
   }
 }
 
@@ -261,30 +134,23 @@ Result<std::unique_ptr<ShardedGirIndex>> ShardedGirIndex::Build(
   if (points.dim() != weights.dim()) {
     return Status::InvalidArgument("points and weights disagree on dim");
   }
-  if (options.background_compact && !options.use_workers) {
-    return Status::InvalidArgument(
-        "background compaction requires worker lanes");
-  }
   const size_t n = options.shards;
   DynamicIndexOptions dyn = options.dynamic;
   // With background merges on, the router owns the compaction policy;
   // the shards' own synchronous trigger would block the lane.
   if (options.background_compact) dyn.auto_compact = false;
+  std::vector<uint32_t> owner = ShardMap::RoundRobin(n, weights.size());
+  std::vector<Dataset> slices(n, Dataset(weights.dim()));
+  for (size_t i = 0; i < weights.size(); ++i) {
+    slices[owner[i]].AppendUnchecked(weights.row(i));
+  }
   std::vector<std::unique_ptr<DynamicGirIndex>> shards;
   shards.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    Dataset slice(weights.dim());
-    for (size_t i = s; i < weights.size(); i += n) {
-      slice.AppendUnchecked(weights.row(i));
-    }
+  for (const Dataset& slice : slices) {
     auto built = DynamicGirIndex::Build(points, slice, dyn);
     if (!built.ok()) return built.status();
     shards.push_back(
         std::make_unique<DynamicGirIndex>(std::move(built).value()));
-  }
-  std::vector<uint32_t> owner(weights.size());
-  for (size_t i = 0; i < owner.size(); ++i) {
-    owner[i] = static_cast<uint32_t>(i % n);
   }
   return std::unique_ptr<ShardedGirIndex>(new ShardedGirIndex(
       options, points.dim(), std::move(shards), std::move(owner),
@@ -299,10 +165,6 @@ Result<std::unique_ptr<ShardedGirIndex>> ShardedGirIndex::FromParts(
   const size_t n = shards.size();
   if (n == 0 || n > kMaxShards || n != options.shards) {
     return Status::InvalidArgument("shard count out of range");
-  }
-  if (options.background_compact && !options.use_workers) {
-    return Status::InvalidArgument(
-        "background compaction requires worker lanes");
   }
   const size_t dim = shards[0]->dim();
   const size_t live_points = shards[0]->live_point_count();
@@ -334,193 +196,109 @@ Result<std::unique_ptr<ShardedGirIndex>> ShardedGirIndex::FromParts(
       weight_insert_counter));
 }
 
-void ShardedGirIndex::StartWorkers() {
-  workers_.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    workers_.emplace_back([this, s] { WorkerMain(s); });
-#if defined(__linux__)
-    // Best-effort pinning: spread the shard group over the cores present.
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(s % cores), &set);
-    pthread_setaffinity_np(workers_.back().native_handle(), sizeof(set),
-                           &set);
-#endif
-  }
+// ---- Admission and lane execution ----------------------------------------
+
+std::unique_lock<std::mutex> ShardedGirIndex::LockForMutation() {
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  pause_cv_.wait(lk, [&] { return !paused_; });
+  return lk;
 }
 
-void ShardedGirIndex::WorkerMain(size_t s) {
-  Lane& lane = *lanes_[s];
-  for (;;) {
-    ShardTask* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(lane.mu);
-      lane.cv.wait(lk, [&] {
-        return !lane.queue.empty() ||
-               stopping_.load(std::memory_order_acquire);
-      });
-      if (lane.queue.empty()) return;  // stopping and drained
-      task = lane.queue.front();
-      lane.queue.pop_front();
-    }
-    RunTask(s, *task);
-    {
-      std::lock_guard<std::mutex> lk(lane.mu);
-      ++lane.completed;
-      lane.cv.notify_all();
-    }
-    // Read `detached` before Done(): signalling wakes the submitting
-    // thread, whose stack owns non-detached tasks — the task may be gone
-    // the instant Done() returns.
-    const bool detached = task->detached;
-    if (task->sync != nullptr) {
-      task->sync->Done();  // `task` may die once the caller wakes
-    }
-    if (detached) delete task;  // background-compaction turns
-  }
+Status ShardedGirIndex::LogLocked(WalOp op, std::optional<uint32_t> lane,
+                                  ConstRow row, uint64_t id) {
+  if (wal_ == nullptr) return Status::OK();
+  WalRecord rec;
+  rec.seq = seq_ + 1;
+  rec.op = op;
+  rec.row.assign(row.begin(), row.end());
+  rec.id = id;
+  if (!lane) return wal_->AppendAll(rec);
+  rec.shard = *lane;  // carried on disk by shard-compact markers only
+  return wal_->Append(*lane, rec);
 }
 
-// ---- Task execution ------------------------------------------------------
-
-void ShardedGirIndex::RunTask(size_t s, ShardTask& t) const {
-  // Background-compaction turns exist only in worker mode; RunTask's
-  // constness serves the const query fan-outs, so shedding it here is
-  // safe (the lane executor owns the shard's turn either way). Handled
-  // before binding the shard reference: the install turn replaces the
-  // shard object itself.
-  if (t.kind == ShardTask::Kind::kBgBegin ||
-      t.kind == ShardTask::Kind::kBgInstall) {
-    auto* self = const_cast<ShardedGirIndex*>(this);
-    if (t.kind == ShardTask::Kind::kBgBegin) {
-      self->RunBgBegin(s);
-    } else {
-      self->RunBgInstall(s, t);
-    }
-    counters_[s]->applied_seq.store(t.seq, std::memory_order_release);
-    return;
+Status ShardedGirIndex::Apply(std::unique_lock<std::mutex> lk,
+                              const std::vector<uint32_t>& lanes, ShardOp op,
+                              uint64_t* seq_out, uint32_t* band_out,
+                              std::vector<double>* head_out) {
+  const uint64_t seq = ++seq_;
+  std::vector<Status> statuses(shards_.size());
+  std::vector<uint32_t> bands(shards_.size(),
+                              std::numeric_limits<uint32_t>::max());
+  lanes_->FanOut(
+      lanes,
+      [&](size_t s) {
+        statuses[s] = ApplyOnLane(s, seq, op);
+        // Cache probes, read on this lane turn so they belong to exactly
+        // this operation even under concurrent mutators.
+        if (band_out != nullptr) bands[s] = shards_[s]->last_point_band();
+        if (head_out != nullptr) *head_out = shards_[s]->last_weight_head();
+      },
+      lk);
+  if (seq_out != nullptr) *seq_out = seq;
+  if (band_out != nullptr) {
+    *band_out = *std::min_element(bands.begin(), bands.end());
   }
-  using Clock = std::chrono::steady_clock;
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
+Status ShardedGirIndex::ApplyOnLane(size_t s, uint64_t seq,
+                                    const ShardOp& op) {
   const Clock::time_point t0 = Clock::now();
-  DynamicGirIndex& index = *shards_[s];
-  ShardCounters& c = *counters_[s];
-  bool is_query = false;
-  switch (t.kind) {
-    case ShardTask::Kind::kInsertPoint:
-      *t.status_out = index.InsertPoint(ConstRow(t.row, t.row_len));
-      if (t.band_out != nullptr) *t.band_out = index.last_point_band();
-      break;
-    case ShardTask::Kind::kDeletePoint:
-      *t.status_out = index.DeletePoint(t.id);
-      if (t.band_out != nullptr) *t.band_out = index.last_point_band();
-      break;
-    case ShardTask::Kind::kInsertWeight:
-      *t.status_out = index.InsertWeight(ConstRow(t.row, t.row_len));
-      if (t.head_out != nullptr) *t.head_out = index.last_weight_head();
-      break;
-    case ShardTask::Kind::kDeleteWeight:
-      *t.status_out = index.DeleteWeight(t.id);
-      break;
-    case ShardTask::Kind::kCompact:
-      *t.status_out = index.Compact();
-      break;
-    case ShardTask::Kind::kQuery: {
-      is_query = true;
-      QueryStats qs;
-      if (t.queries != nullptr) {
-        if (t.rkr) {
-          *t.rkr_batch_out = index.ReverseKRanksBatch(*t.queries, t.k, &qs);
-        } else {
-          *t.rtk_batch_out = index.ReverseTopKBatch(*t.queries, t.k, &qs);
-        }
-      } else {
-        const ConstRow q(t.q, dim_);
-        if (t.rkr) {
-          *t.rkr_out = index.ReverseKRanksCapped(q, t.k, t.cap, &qs);
-        } else {
-          *t.rtk_out = index.ReverseTopK(q, t.k, &qs);
-        }
-      }
-      c.points_streamed.fetch_add(qs.points_streamed,
-                                  std::memory_order_relaxed);
-      c.points_skipped.fetch_add(qs.points_skipped,
-                                 std::memory_order_relaxed);
-      if (t.stats_out != nullptr) *t.stats_out = qs;
-      break;
-    }
-    case ShardTask::Kind::kBgBegin:
-    case ShardTask::Kind::kBgInstall:
-      break;  // handled (and returned) above
-  }
-  if (!is_query && options_.background_compact) {
+  const Status st = op(*shards_[s]);
+  if (options_.background_compact) {
     BgShard& bg = *bg_[s];
-    if (bg.buffering) {
-      // A rebuild of this shard is in flight: remember the mutation so
-      // the install turn can re-apply it to the fresh base.
-      BgShard::BufferedOp op;
-      op.kind = t.kind;
-      op.id = t.id;
-      if (t.row != nullptr) op.row.assign(t.row, t.row + t.row_len);
-      bg.ops.push_back(std::move(op));
-    }
-    const_cast<ShardedGirIndex*>(this)->MaybeRequestBackgroundCompact(s);
+    // A rebuild of this shard is in flight: keep the op so the install
+    // turn can re-apply it to the fresh base.
+    if (bg.buffering) bg.ops.push_back({op, st.ok()});
+    MaybeRequestBackgroundCompact(s);
   }
-  const uint64_t us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            t0)
-          .count());
-  c.latency_hist[LatBucket(us)].fetch_add(1, std::memory_order_relaxed);
+  const DynamicGirIndex& index = *shards_[s];
+  ShardCounters& c = *counters_[s];
+  c.latency_us.Record(MicrosSince(t0));
   c.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (is_query) {
-    c.queries.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    c.mutations.fetch_add(1, std::memory_order_relaxed);
-    c.generation.store(index.generation(), std::memory_order_relaxed);
-    c.live_weights.store(index.live_weight_count(),
-                         std::memory_order_relaxed);
-    c.dirty.store(index.dirty(), std::memory_order_relaxed);
-  }
-  c.applied_seq.store(t.seq, std::memory_order_release);
+  c.mutations.fetch_add(1, std::memory_order_relaxed);
+  c.generation.store(index.generation(), std::memory_order_relaxed);
+  c.live_weights.store(index.live_weight_count(), std::memory_order_relaxed);
+  c.dirty.store(index.dirty(), std::memory_order_relaxed);
+  c.applied_seq.store(seq, std::memory_order_release);
+  return st;
 }
 
-uint64_t ShardedGirIndex::Admit(ShardTask* tasks, const size_t* lanes,
-                                size_t count) const {
-  // Caller holds seq_mu_. Mutating ops bumped seq_ already; queries run
-  // at the current prefix.
+std::vector<ShardMap::IdMap> ShardedGirIndex::FanOut(
+    const ShardQuery& query, QueryStats* stats,
+    uint64_t* executed_seq) const {
+  std::vector<QueryStats> part_stats(shards_.size());
+  std::unique_lock<std::mutex> lk(seq_mu_);
+  // Queries run at the current admitted prefix, against the id maps of
+  // that same cut.
+  std::vector<ShardMap::IdMap> maps = map_.Pin();
   const uint64_t seq = seq_;
-  for (size_t i = 0; i < count; ++i) {
-    Lane& lane = *lanes_[lanes[i]];
-    std::lock_guard<std::mutex> lk(lane.mu);
-    tasks[i].seq = seq;
-    tasks[i].ticket = lane.issued++;
-    if (options_.use_workers) {
-      lane.queue.push_back(&tasks[i]);
-      lane.cv.notify_all();
-    }
+  lanes_->FanOut(
+      all_shards_,
+      [&](size_t s) {
+        const Clock::time_point t0 = Clock::now();
+        QueryStats& qs = part_stats[s];
+        query(s, *shards_[s], &qs);
+        ShardCounters& c = *counters_[s];
+        c.points_streamed.fetch_add(qs.points_streamed,
+                                    std::memory_order_relaxed);
+        c.points_skipped.fetch_add(qs.points_skipped,
+                                   std::memory_order_relaxed);
+        c.latency_us.Record(MicrosSince(t0));
+        c.tasks.fetch_add(1, std::memory_order_relaxed);
+        c.queries.fetch_add(1, std::memory_order_relaxed);
+        c.applied_seq.store(seq, std::memory_order_release);
+      },
+      lk);
+  if (stats != nullptr) {
+    for (const QueryStats& qs : part_stats) *stats += qs;
   }
-  return seq;
-}
-
-void ShardedGirIndex::Execute(ShardTask* tasks, const size_t* lanes,
-                              size_t count, OpSync& sync) const {
-  if (options_.use_workers) {
-    sync.Wait();
-    return;
-  }
-  // Inline mode: this caller runs its own tasks, each when its lane turn
-  // comes up. Tickets were assigned under the admission lock, so the
-  // cross-lane wait graph only ever points at earlier-admitted
-  // operations — acyclic, hence deadlock-free.
-  for (size_t i = 0; i < count; ++i) {
-    Lane& lane = *lanes_[lanes[i]];
-    std::unique_lock<std::mutex> lk(lane.mu);
-    lane.cv.wait(lk, [&] { return lane.completed == tasks[i].ticket; });
-    lk.unlock();
-    RunTask(lanes[i], tasks[i]);
-    lk.lock();
-    ++lane.completed;
-    lane.cv.notify_all();
-  }
+  if (executed_seq != nullptr) *executed_seq = seq;
+  return maps;
 }
 
 // ---- Background compaction (leveled merges; DESIGN.md §17) ---------------
@@ -544,24 +322,19 @@ void ShardedGirIndex::MaybeRequestBackgroundCompact(size_t s) {
   // is admitted, like any other mutation. Replay runs a synchronous
   // shard compaction at exactly this sequence number, which lands on
   // the same state the install path produces.
-  if (wal_ != nullptr) {
-    WalRecord rec;
-    rec.seq = seq_ + 1;
-    rec.op = WalOp::kCompactShard;
-    rec.shard = static_cast<uint32_t>(s);
-    if (!wal_->Append(static_cast<uint32_t>(s), rec).ok()) return;
+  if (!LogLocked(WalOp::kCompactShard, static_cast<uint32_t>(s)).ok()) {
+    return;
   }
-  ++seq_;
+  const uint64_t seq = ++seq_;
   {
     std::lock_guard<std::mutex> blk(bg_mu_);
     bg_[s]->pending = true;
     ++bg_inflight_;
   }
-  auto* task = new ShardTask();
-  task->kind = ShardTask::Kind::kBgBegin;
-  task->detached = true;
-  const size_t lane = s;
-  Admit(task, &lane, 1);
+  lanes_->Post(s, [this, s, seq] {
+    RunBgBegin(s);
+    counters_[s]->applied_seq.store(seq, std::memory_order_release);
+  });
 }
 
 void ShardedGirIndex::RunBgBegin(size_t s) {
@@ -580,7 +353,7 @@ void ShardedGirIndex::RunBgBegin(size_t s) {
   bg.buffering = true;
   bg.target_generation = index.generation() + 1;
   bg.ops.clear();
-  auto job = std::make_unique<BgJob>();
+  auto job = std::make_shared<BgJob>();
   job->shard = s;
   job->points = index.LivePoints();
   job->weights = index.LiveWeights();
@@ -593,7 +366,7 @@ void ShardedGirIndex::RunBgBegin(size_t s) {
 
 void ShardedGirIndex::BuilderMain() {
   for (;;) {
-    std::unique_ptr<BgJob> job;
+    std::shared_ptr<BgJob> job;
     {
       std::unique_lock<std::mutex> lk(bg_mu_);
       bg_cv_.wait(lk, [&] { return !bg_queue_.empty() || bg_stopping_; });
@@ -605,22 +378,24 @@ void ShardedGirIndex::BuilderMain() {
     // marker-time live sets — the same rebuild Compact() runs inline.
     auto built =
         DynamicGirIndex::Build(job->points, job->weights, job->options);
-    auto* task = new ShardTask();
-    task->kind = ShardTask::Kind::kBgInstall;
-    task->detached = true;
     if (built.ok()) {
-      task->install =
-          std::make_unique<DynamicGirIndex>(std::move(built).value());
+      job->built = std::make_unique<DynamicGirIndex>(std::move(built).value());
     }
-    const size_t lane = job->shard;
+    job->points = Dataset(0);  // the snapshot is spent; free it now
+    job->weights = Dataset(0);
     std::lock_guard<std::mutex> lk(seq_mu_);
-    Admit(task, &lane, 1);
+    const uint64_t seq = seq_;
+    lanes_->Post(job->shard, [this, job, seq] {
+      RunBgInstall(*job);
+      counters_[job->shard]->applied_seq.store(seq, std::memory_order_release);
+    });
   }
 }
 
-void ShardedGirIndex::RunBgInstall(size_t s, ShardTask& t) {
+void ShardedGirIndex::RunBgInstall(BgJob& job) {
+  const size_t s = job.shard;
   BgShard& bg = *bg_[s];
-  std::unique_ptr<DynamicGirIndex> built = std::move(t.install);
+  std::unique_ptr<DynamicGirIndex> built = std::move(job.built);
   bool install = built != nullptr;
   if (install) {
     // The fresh base equals a synchronous Compact() at the marker except
@@ -629,32 +404,12 @@ void ShardedGirIndex::RunBgInstall(size_t s, ShardTask& t) {
     // Re-apply everything this lane absorbed while the build ran. Local
     // ids stay valid: the new base indexes the marker-time live order —
     // the same order the old shard had — and both evolve identically.
-    for (const BgShard::BufferedOp& op : bg.ops) {
-      Status st;
-      switch (op.kind) {
-        case ShardTask::Kind::kInsertPoint:
-          st = built->InsertPoint(ConstRow(op.row.data(), op.row.size()));
-          break;
-        case ShardTask::Kind::kDeletePoint:
-          st = built->DeletePoint(op.id);
-          break;
-        case ShardTask::Kind::kInsertWeight:
-          st = built->InsertWeight(ConstRow(op.row.data(), op.row.size()));
-          break;
-        case ShardTask::Kind::kDeleteWeight:
-          st = built->DeleteWeight(op.id);
-          break;
-        case ShardTask::Kind::kCompact:
-          // An explicit compact can legitimately no-op (clean, or no
-          // live points) — the old shard refused it the same way.
-          (void)built->Compact();
-          break;
-        default:
-          break;
-      }
-      if (!st.ok()) {
-        // A healthy buffered op can only fail if old and new state
-        // diverged — keep the old shard rather than install doubt.
+    // Each op must reproduce the outcome it had on the old base (an
+    // explicit compact refuses on both when no point is live); any other
+    // outcome means the two diverged, so keep the old shard rather than
+    // install doubt.
+    for (const BgShard::BufferedOp& buffered : bg.ops) {
+      if (buffered.op(*built).ok() != buffered.ok) {
         install = false;
         break;
       }
@@ -685,120 +440,47 @@ void ShardedGirIndex::WaitBackgroundIdle() const {
 
 // ---- Mutations -----------------------------------------------------------
 
-namespace {
-
-Status ValidateRowValues(ConstRow row) {
-  for (double v : row) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::InvalidArgument(
-          "dataset values must be finite and non-negative");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
+// Admission-time validation mirrors the shards' own checks exactly, so a
+// lane can only fail after the router committed its bookkeeping if the
+// index itself is inconsistent.
 
 Status ShardedGirIndex::InsertPoint(ConstRow p, uint64_t* seq_out,
                                     uint32_t* band_out) {
-  // Admission-time validation mirrors the shard's own checks exactly, so
-  // a task can only fail after the router committed its bookkeeping if
-  // the index itself is inconsistent.
   if (p.size() != dim_) {
     return Status::InvalidArgument(
         "row width " + std::to_string(p.size()) + " != dataset dim " +
         std::to_string(dim_));
   }
-  Status vst = ValidateRowValues(p);
-  if (!vst.ok()) return vst;
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<Status> statuses(n);
-  std::vector<uint32_t> bands(n, std::numeric_limits<uint32_t>::max());
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kInsertPoint;
-    tasks[s].row = p.data();
-    tasks[s].row_len = p.size();
-    tasks[s].status_out = &statuses[s];
-    if (band_out != nullptr) tasks[s].band_out = &bands[s];
-    tasks[s].sync = &sync;
+  if (!RowValuesValid(p)) {
+    return Status::InvalidArgument(
+        "dataset values must be finite and non-negative");
   }
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.seq = seq_ + 1;
-      rec.op = WalOp::kInsertPoint;
-      rec.row.assign(p.data(), p.data() + p.size());
-      Status wst = wal_->AppendAll(rec);
-      if (!wst.ok()) return wst;
-    }
-    ++seq_;
-    ++live_points_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  if (seq_out != nullptr) *seq_out = seq;
-  if (band_out != nullptr) {
-    *band_out = *std::min_element(bands.begin(), bands.end());
-  }
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  std::vector<double> row(p.begin(), p.end());
+  std::unique_lock<std::mutex> lk = LockForMutation();
+  Status st = LogLocked(WalOp::kInsertPoint, {}, p);
+  if (!st.ok()) return st;
+  ++live_points_;
+  return Apply(
+      std::move(lk), all_shards_,
+      [row = std::move(row)](DynamicGirIndex& index) {
+        return index.InsertPoint(row);
+      },
+      seq_out, band_out);
 }
 
 Status ShardedGirIndex::DeletePoint(VectorId live_id, uint64_t* seq_out,
                                     uint32_t* band_out) {
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<Status> statuses(n);
-  std::vector<uint32_t> bands(n, std::numeric_limits<uint32_t>::max());
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kDeletePoint;
-    tasks[s].id = live_id;
-    tasks[s].status_out = &statuses[s];
-    if (band_out != nullptr) tasks[s].band_out = &bands[s];
-    tasks[s].sync = &sync;
+  std::unique_lock<std::mutex> lk = LockForMutation();
+  if (live_id >= live_points_) {
+    return Status::InvalidArgument("point live id out of range");
   }
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    if (live_id >= live_points_) {
-      return Status::InvalidArgument("point live id out of range");
-    }
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.seq = seq_ + 1;
-      rec.op = WalOp::kDeletePoint;
-      rec.id = live_id;
-      Status wst = wal_->AppendAll(rec);
-      if (!wst.ok()) return wst;
-    }
-    ++seq_;
-    --live_points_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  if (seq_out != nullptr) *seq_out = seq;
-  if (band_out != nullptr) {
-    *band_out = *std::min_element(bands.begin(), bands.end());
-  }
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  Status st = LogLocked(WalOp::kDeletePoint, {}, {}, live_id);
+  if (!st.ok()) return st;
+  --live_points_;
+  return Apply(
+      std::move(lk), all_shards_,
+      [live_id](DynamicGirIndex& index) { return index.DeletePoint(live_id); },
+      seq_out, band_out);
 }
 
 Status ShardedGirIndex::InsertWeight(ConstRow w, uint64_t* seq_out,
@@ -808,164 +490,55 @@ Status ShardedGirIndex::InsertWeight(ConstRow w, uint64_t* seq_out,
   }
   Status vst = ValidateWeight(w, 1e-6);
   if (!vst.ok()) return vst;
-  ShardTask task;
-  Status status;
-  OpSync sync;
-  sync.remaining = 1;
-  task.kind = ShardTask::Kind::kInsertWeight;
-  task.row = w.data();
-  task.row_len = w.size();
-  task.status_out = &status;
-  task.head_out = head_out;
-  task.sync = &sync;
-  size_t lane = 0;
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    const size_t s = insert_counter_ % shards_.size();
-    if (wal_ != nullptr) {
-      // Weight mutations land only in the owner lane's file: each lane's
-      // log alone carries everything its shard needs.
-      WalRecord rec;
-      rec.seq = seq_ + 1;
-      rec.op = WalOp::kInsertWeight;
-      rec.row.assign(w.data(), w.data() + w.size());
-      Status wst = wal_->Append(static_cast<uint32_t>(s), rec);
-      if (!wst.ok()) return wst;
-    }
-    ++insert_counter_;
-    ++seq_;
-    lane = s;
-    const VectorId g = static_cast<VectorId>(owner_.size());
-    owner_.push_back(static_cast<uint32_t>(s));
-    auto next = std::make_shared<std::vector<VectorId>>(*to_global_[s]);
-    next->push_back(g);
-    to_global_[s] = std::move(next);
-    seq = Admit(&task, &lane, 1);
-  }
-  Execute(&task, &lane, 1, sync);
-  if (seq_out != nullptr) *seq_out = seq;
-  return status;
+  std::vector<double> row(w.begin(), w.end());
+  std::unique_lock<std::mutex> lk = LockForMutation();
+  // Weight mutations land only in the owner lane's file: each lane's log
+  // alone carries everything its shard needs.
+  const uint32_t s = map_.next_owner();
+  Status st = LogLocked(WalOp::kInsertWeight, s, w);
+  if (!st.ok()) return st;
+  map_.AddWeight();
+  return Apply(
+      std::move(lk), {s},
+      [row = std::move(row)](DynamicGirIndex& index) {
+        return index.InsertWeight(row);
+      },
+      seq_out, nullptr, head_out);
 }
 
 Status ShardedGirIndex::DeleteWeight(VectorId live_id, uint64_t* seq_out) {
-  ShardTask task;
-  Status status;
-  OpSync sync;
-  sync.remaining = 1;
-  task.kind = ShardTask::Kind::kDeleteWeight;
-  task.status_out = &status;
-  task.sync = &sync;
-  size_t lane = 0;
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    if (live_id >= owner_.size()) {
-      return Status::InvalidArgument("weight live id out of range");
-    }
-    const size_t s = owner_[live_id];
-    lane = s;
-    if (wal_ != nullptr) {
-      // Logged with the *global* live id: replay re-routes through this
-      // method and recomputes the local id from its own maps.
-      WalRecord rec;
-      rec.seq = seq_ + 1;
-      rec.op = WalOp::kDeleteWeight;
-      rec.id = live_id;
-      Status wst = wal_->Append(static_cast<uint32_t>(s), rec);
-      if (!wst.ok()) return wst;
-    }
-    // The shard-local id is this weight's position in its owner's
-    // local→global map (strictly increasing, so a binary search).
-    const std::vector<VectorId>& map = *to_global_[s];
-    const size_t local = static_cast<size_t>(
-        std::lower_bound(map.begin(), map.end(), live_id) - map.begin());
-    task.id = static_cast<VectorId>(local);
-    ++seq_;
-    owner_.erase(owner_.begin() + live_id);
-    // Every later global id shifts down by one — republish every shard's
-    // map (the owner shard additionally drops the entry itself). This is
-    // O(|W|) of u32 traffic, well under the owning shard's own delete
-    // cost, and keeps in-flight queries on their admission-time cut.
-    for (size_t t = 0; t < shards_.size(); ++t) {
-      const std::vector<VectorId>& old = *to_global_[t];
-      auto next = std::make_shared<std::vector<VectorId>>();
-      next->reserve(old.size());
-      for (VectorId g : old) {
-        if (g == live_id) continue;  // only ever true for t == s
-        next->push_back(g > live_id ? g - 1 : g);
-      }
-      to_global_[t] = std::move(next);
-    }
-    seq = Admit(&task, &lane, 1);
+  std::unique_lock<std::mutex> lk = LockForMutation();
+  if (live_id >= map_.live_weights()) {
+    return Status::InvalidArgument("weight live id out of range");
   }
-  Execute(&task, &lane, 1, sync);
-  if (seq_out != nullptr) *seq_out = seq;
-  return status;
+  const uint32_t s = map_.owner_of(live_id);
+  // Logged with the *global* live id: replay re-routes through this
+  // method and recomputes the local id from its own map.
+  Status st = LogLocked(WalOp::kDeleteWeight, s, {}, live_id);
+  if (!st.ok()) return st;
+  const VectorId local = map_.LocalId(live_id);
+  map_.RemoveWeight(live_id);
+  return Apply(
+      std::move(lk), {s},
+      [local](DynamicGirIndex& index) { return index.DeleteWeight(local); },
+      seq_out);
 }
 
 Status ShardedGirIndex::Compact(uint64_t* seq_out) {
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<Status> statuses(n);
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kCompact;
-    tasks[s].status_out = &statuses[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.seq = seq_ + 1;
-      rec.op = WalOp::kCompact;
-      Status wst = wal_->AppendAll(rec);
-      if (!wst.ok()) return wst;
-    }
-    ++seq_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  if (seq_out != nullptr) *seq_out = seq;
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  std::unique_lock<std::mutex> lk = LockForMutation();
+  Status st = LogLocked(WalOp::kCompact, {});
+  if (!st.ok()) return st;
+  return Apply(std::move(lk), all_shards_, CompactOp, seq_out);
 }
 
 Status ShardedGirIndex::CompactShard(uint32_t shard, uint64_t* seq_out) {
   if (shard >= shards_.size()) {
     return Status::InvalidArgument("shard index out of range");
   }
-  ShardTask task;
-  Status status;
-  OpSync sync;
-  sync.remaining = 1;
-  task.kind = ShardTask::Kind::kCompact;
-  task.status_out = &status;
-  task.sync = &sync;
-  size_t lane = shard;
-  uint64_t seq = 0;
-  {
-    std::unique_lock<std::mutex> lk(seq_mu_);
-    pause_cv_.wait(lk, [&] { return !paused_; });
-    ++seq_;
-    seq = Admit(&task, &lane, 1);
-  }
-  Execute(&task, &lane, 1, sync);
-  if (seq_out != nullptr) *seq_out = seq;
   // A clean shard compacts as a no-op (OK, no generation bump) and a
   // shard with no live points refuses unchanged — exactly the cases
   // where the live marker aborted its rebuild, so neither fails replay.
-  (void)status;
+  (void)Apply(LockForMutation(), {shard}, CompactOp, seq_out);
   return Status::OK();
 }
 
@@ -1087,274 +660,62 @@ Status ShardedGirIndex::Checkpoint(
 
 // ---- Queries -------------------------------------------------------------
 
-namespace {
-
-/// Maps a shard's ascending local-id RTK answer to global ids. The map is
-/// strictly increasing, so the output stays sorted.
-void MapRtk(const ReverseTopKResult& local, const std::vector<VectorId>& map,
-            ReverseTopKResult* out) {
-  out->clear();
-  out->reserve(local.size());
-  for (VectorId id : local) out->push_back(map[id]);
-}
-
-/// k-way merge of per-shard sorted, disjoint global-id lists.
-ReverseTopKResult MergeRtk(std::vector<ReverseTopKResult>& parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  ReverseTopKResult out;
-  out.reserve(total);
-  std::vector<size_t> pos(parts.size(), 0);
-  while (out.size() < total) {
-    size_t best = parts.size();
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (pos[s] >= parts[s].size()) continue;
-      if (best == parts.size() ||
-          parts[s][pos[s]] < parts[best][pos[best]]) {
-        best = s;
-      }
-    }
-    out.push_back(parts[best][pos[best]++]);
-  }
-  return out;
-}
-
-/// k-way merge of per-shard k-ranks answers (already mapped to global
-/// ids; each sorted by the (rank, weight_id) tie rule), truncated to k.
-/// Per-shard truncation to k is what makes this exact rather than merely
-/// plausible: every global top-k member is one of its own shard's top-k
-/// (DESIGN.md §15 spells out why naive per-shard k/N truncation fails).
-ReverseKRanksResult MergeRkr(std::vector<ReverseKRanksResult>& parts,
-                             size_t k) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  const size_t take = std::min(k, total);
-  ReverseKRanksResult out;
-  out.reserve(take);
-  std::vector<size_t> pos(parts.size(), 0);
-  while (out.size() < take) {
-    size_t best = parts.size();
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (pos[s] >= parts[s].size()) continue;
-      if (best == parts.size() ||
-          parts[s][pos[s]] < parts[best][pos[best]]) {
-        best = s;
-      }
-    }
-    if (best == parts.size()) break;
-    out.push_back(parts[best][pos[best]++]);
-  }
-  return out;
-}
-
-}  // namespace
-
 ReverseTopKResult ShardedGirIndex::ReverseTopK(ConstRow q, size_t k,
                                                QueryStats* stats,
                                                uint64_t* executed_seq) const {
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<ReverseTopKResult> parts(n);
-  std::vector<QueryStats> part_stats(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kQuery;
-    tasks[s].q = q.data();
-    tasks[s].k = k;
-    tasks[s].rkr = false;
-    tasks[s].rtk_out = &parts[s];
-    tasks[s].stats_out = &part_stats[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    maps = to_global_;  // pin the admission-time cut's id mapping
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  std::vector<ReverseTopKResult> mapped(n);
-  for (size_t s = 0; s < n; ++s) {
-    MapRtk(parts[s], *maps[s], &mapped[s]);
-    if (stats != nullptr) *stats += part_stats[s];
-  }
-  if (executed_seq != nullptr) *executed_seq = seq;
-  return MergeRtk(mapped);
+  std::vector<ReverseTopKResult> parts(shards_.size());
+  const auto maps = FanOut(
+      [&](size_t s, const DynamicGirIndex& index, QueryStats* qs) {
+        parts[s] = index.ReverseTopK(q, k, qs);
+      },
+      stats, executed_seq);
+  return MergeShards(parts, maps, all_shards_, k);
 }
 
 ReverseKRanksResult ShardedGirIndex::ReverseKRanks(
     ConstRow q, size_t k, QueryStats* stats, uint64_t* executed_seq) const {
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<ReverseKRanksResult> parts(n);
-  std::vector<QueryStats> part_stats(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  // The shared global k-th bound: starts unbounded, tightens via
-  // fetch-min as shards finish (ReverseKRanksCapped contract).
-  std::atomic<int64_t> cap{std::numeric_limits<int64_t>::max()};
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kQuery;
-    tasks[s].q = q.data();
-    tasks[s].k = k;
-    tasks[s].rkr = true;
-    tasks[s].cap = &cap;
-    tasks[s].rkr_out = &parts[s];
-    tasks[s].stats_out = &part_stats[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    maps = to_global_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  for (size_t s = 0; s < n; ++s) {
-    const std::vector<VectorId>& map = *maps[s];
-    for (RankedWeight& e : parts[s]) e.weight_id = map[e.weight_id];
-    if (stats != nullptr) *stats += part_stats[s];
-  }
-  if (executed_seq != nullptr) *executed_seq = seq;
-  return MergeRkr(parts, k);
+  return ReverseKRanksCapped(q, k, std::numeric_limits<int64_t>::max(),
+                             stats, executed_seq);
 }
 
 ReverseKRanksResult ShardedGirIndex::ReverseKRanksCapped(
     ConstRow q, size_t k, int64_t initial_cap, QueryStats* stats,
     uint64_t* executed_seq) const {
-  const size_t n = shards_.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<ReverseKRanksResult> parts(n);
-  std::vector<QueryStats> part_stats(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  // Same shared fetch-min bound as ReverseKRanks, seeded with the
-  // caller's cap (a router shipping its cluster-wide k-th bound).
+  std::vector<ReverseKRanksResult> parts(shards_.size());
+  // The shared global k-th bound: seeded with the caller's cap, folded
+  // into each shard's own cap and tightened via fetch-min as shards
+  // finish (DynamicGirIndex::ReverseKRanksCapped).
   std::atomic<int64_t> cap{initial_cap};
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kQuery;
-    tasks[s].q = q.data();
-    tasks[s].k = k;
-    tasks[s].rkr = true;
-    tasks[s].cap = &cap;
-    tasks[s].rkr_out = &parts[s];
-    tasks[s].stats_out = &part_stats[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    maps = to_global_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  for (size_t s = 0; s < n; ++s) {
-    const std::vector<VectorId>& map = *maps[s];
-    for (RankedWeight& e : parts[s]) e.weight_id = map[e.weight_id];
-    if (stats != nullptr) *stats += part_stats[s];
-  }
-  if (executed_seq != nullptr) *executed_seq = seq;
-  return MergeRkr(parts, k);
+  const auto maps = FanOut(
+      [&](size_t s, const DynamicGirIndex& index, QueryStats* qs) {
+        parts[s] = index.ReverseKRanksCapped(q, k, &cap, qs);
+      },
+      stats, executed_seq);
+  return MergeShards(parts, maps, all_shards_, k);
 }
 
 std::vector<ReverseTopKResult> ShardedGirIndex::ReverseTopKBatch(
     const Dataset& queries, size_t k, QueryStats* stats,
     uint64_t* executed_seq) const {
-  const size_t n = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<std::vector<ReverseTopKResult>> parts(n);
-  std::vector<QueryStats> part_stats(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kQuery;
-    tasks[s].queries = &queries;
-    tasks[s].k = k;
-    tasks[s].rkr = false;
-    tasks[s].rtk_batch_out = &parts[s];
-    tasks[s].stats_out = &part_stats[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    maps = to_global_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  std::vector<ReverseTopKResult> out(nq);
-  std::vector<ReverseTopKResult> mapped(n);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (size_t s = 0; s < n; ++s) {
-      MapRtk(parts[s][qi], *maps[s], &mapped[s]);
-    }
-    out[qi] = MergeRtk(mapped);
-  }
-  if (stats != nullptr) {
-    for (size_t s = 0; s < n; ++s) *stats += part_stats[s];
-  }
-  if (executed_seq != nullptr) *executed_seq = seq;
-  return out;
+  std::vector<std::vector<ReverseTopKResult>> parts(shards_.size());
+  const auto maps = FanOut(
+      [&](size_t s, const DynamicGirIndex& index, QueryStats* qs) {
+        parts[s] = index.ReverseTopKBatch(queries, k, qs);
+      },
+      stats, executed_seq);
+  return MergeShardBatches(parts, maps, all_shards_, k, queries.size());
 }
 
 std::vector<ReverseKRanksResult> ShardedGirIndex::ReverseKRanksBatch(
     const Dataset& queries, size_t k, QueryStats* stats,
     uint64_t* executed_seq) const {
-  const size_t n = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<ShardTask> tasks(n);
-  std::vector<size_t> lanes(n);
-  std::vector<std::vector<ReverseKRanksResult>> parts(n);
-  std::vector<QueryStats> part_stats(n);
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> maps(n);
-  OpSync sync;
-  sync.remaining = n;
-  for (size_t s = 0; s < n; ++s) {
-    lanes[s] = s;
-    tasks[s].kind = ShardTask::Kind::kQuery;
-    tasks[s].queries = &queries;
-    tasks[s].k = k;
-    tasks[s].rkr = true;
-    tasks[s].rkr_batch_out = &parts[s];
-    tasks[s].stats_out = &part_stats[s];
-    tasks[s].sync = &sync;
-  }
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(seq_mu_);
-    maps = to_global_;
-    seq = Admit(tasks.data(), lanes.data(), n);
-  }
-  Execute(tasks.data(), lanes.data(), n, sync);
-  std::vector<ReverseKRanksResult> out(nq);
-  std::vector<ReverseKRanksResult> scratch(n);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (size_t s = 0; s < n; ++s) {
-      scratch[s] = std::move(parts[s][qi]);
-      const std::vector<VectorId>& map = *maps[s];
-      for (RankedWeight& e : scratch[s]) e.weight_id = map[e.weight_id];
-    }
-    out[qi] = MergeRkr(scratch, k);
-  }
-  if (stats != nullptr) {
-    for (size_t s = 0; s < n; ++s) *stats += part_stats[s];
-  }
-  if (executed_seq != nullptr) *executed_seq = seq;
-  return out;
+  std::vector<std::vector<ReverseKRanksResult>> parts(shards_.size());
+  const auto maps = FanOut(
+      [&](size_t s, const DynamicGirIndex& index, QueryStats* qs) {
+        parts[s] = index.ReverseKRanksBatch(queries, k, qs);
+      },
+      stats, executed_seq);
+  return MergeShardBatches(parts, maps, all_shards_, k, queries.size());
 }
 
 // ---- Introspection -------------------------------------------------------
@@ -1366,7 +727,7 @@ size_t ShardedGirIndex::live_point_count() const {
 
 size_t ShardedGirIndex::live_weight_count() const {
   std::lock_guard<std::mutex> lk(seq_mu_);
-  return owner_.size();
+  return map_.live_weights();
 }
 
 uint64_t ShardedGirIndex::sequence() const {
@@ -1376,7 +737,7 @@ uint64_t ShardedGirIndex::sequence() const {
 
 uint64_t ShardedGirIndex::weight_insert_counter() const {
   std::lock_guard<std::mutex> lk(seq_mu_);
-  return insert_counter_;
+  return map_.insert_counter();
 }
 
 bool ShardedGirIndex::dirty() const {
@@ -1396,7 +757,7 @@ std::vector<uint64_t> ShardedGirIndex::AppliedSeqVector() const {
 
 std::vector<uint32_t> ShardedGirIndex::WeightOwners() const {
   std::lock_guard<std::mutex> lk(seq_mu_);
-  return owner_;
+  return map_.owners();
 }
 
 std::vector<ShardStatsSnapshot> ShardedGirIndex::ShardStats() const {
@@ -1416,13 +777,9 @@ std::vector<ShardStatsSnapshot> ShardedGirIndex::ShardStats() const {
         c.points_streamed.load(std::memory_order_relaxed);
     snap.points_skipped = c.points_skipped.load(std::memory_order_relaxed);
     snap.bg_compactions = c.bg_compactions.load(std::memory_order_relaxed);
-    snap.latency_p50_us = LatQuantile(c.latency_hist, 0.50);
-    snap.latency_p99_us = LatQuantile(c.latency_hist, 0.99);
-    {
-      Lane& lane = *lanes_[s];
-      std::lock_guard<std::mutex> lk(lane.mu);
-      snap.queue_depth = lane.issued - lane.completed;
-    }
+    snap.latency_p50_us = c.latency_us.Quantile(0.50);
+    snap.latency_p99_us = c.latency_us.Quantile(0.99);
+    snap.queue_depth = lanes_->queue_depth(s);
     total_queries += snap.queries;
   }
   for (ShardStatsSnapshot& snap : out) {
@@ -1435,19 +792,14 @@ std::vector<ShardStatsSnapshot> ShardedGirIndex::ShardStats() const {
 }
 
 void ShardedGirIndex::Quiesce() const {
-  std::vector<uint64_t> targets(lanes_.size());
+  // The targets are read under the admission lock, so they cut the
+  // operation stream at one point on every lane.
+  std::vector<uint64_t> targets;
   {
     std::lock_guard<std::mutex> lk(seq_mu_);
-    for (size_t s = 0; s < lanes_.size(); ++s) {
-      std::lock_guard<std::mutex> llk(lanes_[s]->mu);
-      targets[s] = lanes_[s]->issued;
-    }
+    targets = lanes_->Posted();
   }
-  for (size_t s = 0; s < lanes_.size(); ++s) {
-    Lane& lane = *lanes_[s];
-    std::unique_lock<std::mutex> lk(lane.mu);
-    lane.cv.wait(lk, [&] { return lane.completed >= targets[s]; });
-  }
+  lanes_->WaitCompleted(targets);
 }
 
 }  // namespace gir

@@ -1,7 +1,6 @@
 #ifndef GIR_GRID_SHARDED_INDEX_H_
 #define GIR_GRID_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -9,14 +8,17 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/counters.h"
 #include "core/dataset.h"
 #include "core/query_types.h"
+#include "core/shard_lanes.h"
 #include "core/status.h"
 #include "grid/dynamic_index.h"
+#include "grid/shard_map.h"
 #include "io/wal.h"
 
 namespace gir {
@@ -28,14 +30,9 @@ struct ShardedIndexOptions {
   /// shard owns a disjoint slice of the preference set and a full replica
   /// of the (read-mostly, broadcast-mutated) product set.
   size_t shards = 1;
-  /// Options applied to every shard's DynamicGirIndex.
+  /// Options applied to every shard's DynamicGirIndex. Each shard runs on
+  /// its own lane thread (core/shard_lanes.h), unpinned.
   DynamicIndexOptions dynamic;
-  /// One pinned worker thread per shard (the default). With workers off,
-  /// caller threads execute shard tasks themselves under the same
-  /// per-shard ticket discipline — identical semantics and serialization,
-  /// no cross-shard thread parallelism, no handoff latency. Useful on
-  /// single-core hosts and for deterministic debugging.
-  bool use_workers = true;
   /// Leveled background merges (DESIGN.md §17). When a shard's churn
   /// crosses dynamic.compact_threshold after a mutation, the router logs
   /// a compaction marker, snapshots the shard's live sets, and rebuilds
@@ -43,7 +40,7 @@ struct ShardedIndexOptions {
   /// the finished base is installed on the lane's turn with the interim
   /// mutations re-applied. Never blocks a lane or the admission lock.
   /// Build() then disables the shards' own synchronous auto_compact (the
-  /// router owns the policy). Requires use_workers.
+  /// router owns the policy).
   bool background_compact = false;
 };
 
@@ -68,11 +65,11 @@ struct ShardStatsSnapshot {
 /// its own DynamicGirIndex (own generation counter, tombstones, τ heads,
 /// block-max metadata). Mutations route to the owning shard, queries fan
 /// out to every shard, and both kinds of work flow through one per-shard
-/// FIFO so a query always executes against the exact prefix of the global
-/// operation stream it was admitted at — snapshot consistency by
-/// construction, with no lock on any shard's index data and no torn
-/// reads (each shard's state is only ever touched by the one task that
-/// holds its turn).
+/// FIFO lane (core/shard_lanes.h) so a query always executes against the
+/// exact prefix of the global operation stream it was admitted at —
+/// snapshot consistency by construction, with no lock on any shard's
+/// index data and no torn reads (each shard's state is only ever touched
+/// by the one task that holds its turn).
 ///
 /// Ordering model. Admission (under one router mutex) assigns each
 /// operation a global sequence number and enqueues its task(s): weight
@@ -86,7 +83,8 @@ struct ShardStatsSnapshot {
 /// Results are bit-identical to a single DynamicGirIndex fed the same
 /// operation stream. Weight ids: the router keeps the global live-id
 /// order (insertion order filtered to alive — exactly the single-index
-/// live order) as a per-shard monotone local→global map, so mapping a
+/// live order) as a per-shard monotone local→global map (ShardMap,
+/// grid/shard_map.h, shared with the distributed router), so mapping a
 /// shard's (rank, local_id)-sorted answer preserves the global
 /// (rank, weight_id) tie rule, and a k-way merge of per-shard top-k lists
 /// truncated to k is the single-index answer (DESIGN.md §15 — note a
@@ -252,32 +250,45 @@ class ShardedGirIndex {
   const ShardedIndexOptions& options() const { return options_; }
 
  private:
-  struct ShardTask;
-  struct OpSync;
-  struct Lane;
   struct ShardCounters;
   struct BgShard;
   struct BgJob;
+  /// A shard-level mutation. It owns its arguments, so a lane can buffer
+  /// it and re-apply it to a rebuilt base (background compaction).
+  using ShardOp = std::function<Status(DynamicGirIndex&)>;
+  /// One shard's part of a query fan-out; writes its answer into the
+  /// caller's frame.
+  using ShardQuery =
+      std::function<void(size_t, const DynamicGirIndex&, QueryStats*)>;
 
   ShardedGirIndex(ShardedIndexOptions options, size_t dim,
                   std::vector<std::unique_ptr<DynamicGirIndex>> shards,
                   std::vector<uint32_t> owner, uint64_t sequence,
                   uint64_t weight_insert_counter);
 
-  void StartWorkers();
-  void WorkerMain(size_t s);
-  /// Executes one task against shard s (the caller holds shard s's turn).
-  void RunTask(size_t s, ShardTask& task) const;
-  /// Admits `count` tasks (task[i] → shard lane[i]) as one operation.
-  /// REQUIRES seq_mu_ held (the caller has already done its bookkeeping
-  /// and, for mutations, bumped seq_): stamps each task with the current
-  /// sequence number and its lane ticket, and in worker mode enqueues
-  /// them. Returns the stamped sequence number.
-  uint64_t Admit(ShardTask* tasks, const size_t* lanes, size_t count) const;
-  /// Runs the admitted tasks to completion (worker handoff or inline
-  /// ticket execution) and waits.
-  void Execute(ShardTask* tasks, const size_t* lanes, size_t count,
-               OpSync& sync) const;
+  /// Takes the admission lock once mutations are not paused.
+  std::unique_lock<std::mutex> LockForMutation();
+  /// REQUIRES seq_mu_. Logs the op about to be admitted (sequence
+  /// seq_ + 1) to `lane`'s file, or to every lane's when unset. A no-op
+  /// without an attached log.
+  Status LogLocked(WalOp op, std::optional<uint32_t> lane, ConstRow row = {},
+                   uint64_t id = 0);
+  /// Admits one mutation under `lk` (seq_mu_, bookkeeping done): stamps
+  /// the next sequence number, applies `op` on each of `lanes`, releases
+  /// the lock and waits. Returns the first failing lane's status.
+  /// `band_out` receives the minimum point band over the lanes, `head_out`
+  /// the (single) lane's inserted-weight head.
+  Status Apply(std::unique_lock<std::mutex> lk,
+               const std::vector<uint32_t>& lanes, ShardOp op,
+               uint64_t* seq_out, uint32_t* band_out = nullptr,
+               std::vector<double>* head_out = nullptr);
+  /// Shard s's lane turn of a mutation admitted at `seq`.
+  Status ApplyOnLane(size_t s, uint64_t seq, const ShardOp& op);
+  /// Runs `query` on every shard at the current admitted prefix and waits;
+  /// returns the id maps pinned at admission.
+  std::vector<ShardMap::IdMap> FanOut(const ShardQuery& query,
+                                      QueryStats* stats,
+                                      uint64_t* executed_seq) const;
 
   /// Replay of a background-compaction marker: a synchronous Compact()
   /// on one shard, admitted at its own sequence number like any op.
@@ -287,33 +298,26 @@ class ShardedGirIndex {
   /// threshold. Non-blocking — try-locks the admission mutex and gives
   /// up rather than stall the lane; the next mutation re-checks.
   void MaybeRequestBackgroundCompact(size_t s);
-  /// The marker task's lane turn: snapshot the live sets, start
-  /// buffering interim mutations, hand the rebuild to the builder.
+  /// The marker's lane turn: snapshot the live sets, start buffering
+  /// interim mutations, hand the rebuild to the builder.
   void RunBgBegin(size_t s);
-  /// The install task's lane turn: stamp the rebuilt index with the
-  /// marker generation, re-apply the buffered mutations, swap it in.
-  void RunBgInstall(size_t s, ShardTask& t);
+  /// The install's lane turn: stamp the rebuilt index with the marker
+  /// generation, re-apply the buffered mutations, swap it in.
+  void RunBgInstall(BgJob& job);
   void BuilderMain();
 
   ShardedIndexOptions options_;
   size_t dim_;
   std::vector<std::unique_ptr<DynamicGirIndex>> shards_;
+  /// 0..N-1: every shard answers every query.
+  std::vector<uint32_t> all_shards_;
 
   /// Router bookkeeping, all under seq_mu_: the admission lock is the
   /// only cross-shard serialization point.
   mutable std::mutex seq_mu_;
   uint64_t seq_ = 0;
-  uint64_t insert_counter_ = 0;
   size_t live_points_ = 0;
-  /// owner_[g] = owning shard of global live weight g, in global live
-  /// order (so a delete erases one entry and later ids shift, exactly as
-  /// single-index live ids renumber).
-  std::vector<uint32_t> owner_;
-  /// Copy-on-write per-shard local→global maps. Strictly increasing per
-  /// shard (the same-shard subsequence of the global order). Queries pin
-  /// the shared_ptrs at admission; weight mutations publish fresh
-  /// vectors, so an in-flight merge keeps the cut it was admitted at.
-  std::vector<std::shared_ptr<const std::vector<VectorId>>> to_global_;
+  ShardMap map_;
 
   /// Attached under seq_mu_ once at startup; appends happen inside the
   /// admission critical sections, so they are serialized by seq_mu_.
@@ -330,20 +334,20 @@ class ShardedGirIndex {
 
   /// Background-compaction machinery. bg_[s] holds the per-shard marker
   /// state (pending flag under bg_mu_; the op buffer is touched only by
-  /// shard s's lane executor). The builder thread rebuilds snapshots off
-  /// the lanes and admits install tasks.
+  /// shard s's lane). The builder thread rebuilds snapshots off the lanes
+  /// and admits install turns.
   std::vector<std::unique_ptr<BgShard>> bg_;
   mutable std::mutex bg_mu_;
   mutable std::condition_variable bg_cv_;
-  std::deque<std::unique_ptr<BgJob>> bg_queue_;
+  std::deque<std::shared_ptr<BgJob>> bg_queue_;
   size_t bg_inflight_ = 0;
   bool bg_stopping_ = false;
   std::thread builder_;
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::unique_ptr<ShardCounters>> counters_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stopping_{false};
+  /// Declared last: destroyed first, so the lanes drain and join while
+  /// every structure their tasks touch is still alive.
+  std::unique_ptr<ShardLanes> lanes_;
 };
 
 }  // namespace gir

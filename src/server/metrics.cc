@@ -14,9 +14,10 @@ void AppendLine(std::string* out, const char* key, uint64_t value) {
 }
 
 void AppendHistogram(std::string* out, const char* name,
-                     const std::atomic<uint64_t>* hist, int buckets) {
-  for (int b = 0; b < buckets; ++b) {
-    const uint64_t count = hist[b].load(std::memory_order_relaxed);
+                     const Pow2Histogram& hist) {
+  const Pow2Histogram::Counts counts = hist.Snapshot();
+  for (int b = 0; b < Pow2Histogram::kBuckets; ++b) {
+    const uint64_t count = counts[b];
     if (count == 0) continue;
     char line[160];
     std::snprintf(line, sizeof(line), "%s[%" PRIu64 ",%" PRIu64 ") %" PRIu64
@@ -27,22 +28,6 @@ void AppendHistogram(std::string* out, const char* name,
 }
 
 }  // namespace
-
-uint64_t ServerMetrics::Quantile(const std::atomic<uint64_t>* hist,
-                                 double q) {
-  uint64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    total += hist[b].load(std::memory_order_relaxed);
-  }
-  if (total == 0) return 0;
-  const uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-  uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += hist[b].load(std::memory_order_relaxed);
-    if (seen > target) return uint64_t{1} << (b + 1);
-  }
-  return uint64_t{1} << kBuckets;
-}
 
 std::string ServerMetrics::Render() const {
   const auto uptime = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -85,8 +70,8 @@ std::string ServerMetrics::Render() const {
                               static_cast<uint64_t>(uptime)
                         : 0);
   AppendLine(&out, "mean_batch_queries", batches > 0 ? queries / batches : 0);
-  AppendLine(&out, "latency_p50_us_le", Quantile(latency_hist_, 0.50));
-  AppendLine(&out, "latency_p99_us_le", Quantile(latency_hist_, 0.99));
+  AppendLine(&out, "latency_p50_us_le", latency_hist_.Quantile(0.50));
+  AppendLine(&out, "latency_p99_us_le", latency_hist_.Quantile(0.99));
   // Result-cache effectiveness (server/result_cache.h): hits served
   // without a scan, misses that fell through, entries an invalidation
   // pass extended across a mutation vs dropped, and the live footprint.
@@ -125,8 +110,8 @@ std::string ServerMetrics::Render() const {
     std::snprintf(key, sizeof(key), "%s.queue_depth", prefix);
     AppendLine(&out, key, slot.queue_depth.load(kRelaxed));
   }
-  AppendHistogram(&out, "batch_queries", batch_hist_, kBuckets);
-  AppendHistogram(&out, "latency_us", latency_hist_, kBuckets);
+  AppendHistogram(&out, "batch_queries", batch_hist_);
+  AppendHistogram(&out, "latency_us", latency_hist_);
   return out;
 }
 

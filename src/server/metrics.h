@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/histogram.h"
+
 namespace gir {
 
 /// ServerMetrics — lock-free counters behind the STATS verb. Writers are
@@ -14,15 +16,10 @@ namespace gir {
 /// renders a plaintext snapshot in the `key value` style of
 /// QueryStats::ToString().
 ///
-/// Histograms use power-of-two buckets: bucket b counts samples in
-/// [2^b, 2^(b+1)). That is exact for the batch sizes the scheduler
-/// actually forms (it caps at a power of two) and gives latency
-/// quantiles within a factor of two, which is all a smoke-level p99
-/// needs without per-request allocation.
+/// Histograms are Pow2Histograms (core/histogram.h): exact for the batch
+/// sizes the scheduler forms and within a factor of two for latencies.
 class ServerMetrics {
  public:
-  static constexpr int kBuckets = 32;
-
   ServerMetrics() : start_(Clock::now()) {}
 
   void RecordAccepted() { connections_.fetch_add(1, kRelaxed); }
@@ -40,12 +37,10 @@ class ServerMetrics {
     batches_.fetch_add(1, kRelaxed);
     completed_requests_.fetch_add(batch_requests, kRelaxed);
     completed_queries_.fetch_add(batch_queries, kRelaxed);
-    batch_hist_[Bucket(batch_queries)].fetch_add(1, kRelaxed);
+    batch_hist_.Record(batch_queries);
   }
 
-  void RecordLatencyUs(uint64_t us) {
-    latency_hist_[Bucket(us)].fetch_add(1, kRelaxed);
-  }
+  void RecordLatencyUs(uint64_t us) { latency_hist_.Record(us); }
 
   /// Scan-work accounting from a dispatched batch's QueryStats: points the
   /// engine streamed through its bound accumulators vs points the
@@ -122,19 +117,6 @@ class ServerMetrics {
   using Clock = std::chrono::steady_clock;
   static constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 
-  static int Bucket(uint64_t v) {
-    int b = 0;
-    while (v > 1 && b < kBuckets - 1) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
-  }
-
-  /// Value below which a fraction `q` of histogram samples fall, taken as
-  /// the upper edge of the bucket containing the q-th sample.
-  static uint64_t Quantile(const std::atomic<uint64_t>* hist, double q);
-
   struct TenantSlot {
     std::atomic<uint64_t> admitted{0};
     std::atomic<uint64_t> served{0};
@@ -169,8 +151,8 @@ class ServerMetrics {
   std::atomic<uint64_t> scan_points_skipped_{0};
   std::atomic<uint64_t> scan_blocks_skipped_{0};
   std::atomic<uint64_t> scan_blocks_descended_{0};
-  std::atomic<uint64_t> batch_hist_[kBuckets] = {};
-  std::atomic<uint64_t> latency_hist_[kBuckets] = {};
+  Pow2Histogram batch_hist_;
+  Pow2Histogram latency_hist_;
 
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -23,16 +22,6 @@ namespace {
 bool IsRkrVerb(NetVerb verb) {
   return verb == NetVerb::kReverseKRanks ||
          verb == NetVerb::kReverseKRanksBatch;
-}
-
-/// Query rows must be finite and non-negative — the same contract
-/// Dataset::FromFlat enforces for indexed data — so rows can be appended
-/// unchecked into the coalesced batch dataset.
-bool ValidQueryValues(const std::vector<double>& values) {
-  for (double v : values) {
-    if (!std::isfinite(v) || v < 0.0) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -289,7 +278,7 @@ void QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
                   "query dimension does not match the index");
         return;
       }
-      if (!ValidQueryValues(request.values)) {
+      if (!RowValuesValid(request.values)) {
         SendError(conn, request.verb, NetStatus::kInvalidArgument,
                   request.request_id, "query contains NaN or infinity");
         return;
@@ -441,7 +430,7 @@ void QueryServer::AdmitQuery(const std::shared_ptr<Connection>& conn,
               "query dimension does not match the index");
     return;
   }
-  if (!ValidQueryValues(request.values)) {
+  if (!RowValuesValid(request.values)) {
     SendError(conn, request.verb, NetStatus::kInvalidArgument,
               request.request_id,
               "query values must be finite and non-negative");

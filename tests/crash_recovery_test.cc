@@ -333,12 +333,10 @@ TEST_F(CrashRecoveryTest, KillMidChurnRecoversTheDurableHistory) {
         Status::Internal("unset");
     if (std::filesystem::exists(WalDir() + "/snapshot.gir")) {
       oracle = LoadShardedIndex(WalDir() + "/snapshot.gir",
-                                /*use_workers=*/true,
                                 /*background_compact=*/true);
     } else {
       ShardedIndexOptions options;
       options.shards = 2;
-      options.use_workers = true;
       options.background_compact = true;
       options.dynamic.gir.partitions = 32;
       oracle = ShardedGirIndex::Build(points_, weights_, options);
@@ -407,8 +405,7 @@ TEST_F(CrashRecoveryTest, CleanShutdownCheckpointsAndRebootsFromSnapshot) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_TRUE(merged.value().records.empty())
       << "final checkpoint left an unrotated log";
-  auto snapshot = LoadShardedIndex(WalDir() + "/snapshot.gir",
-                                   /*use_workers=*/false);
+  auto snapshot = LoadShardedIndex(WalDir() + "/snapshot.gir");
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(snapshot.value()->live_point_count(), points_.size() + 10);
   EXPECT_EQ(snapshot.value()->live_weight_count(), weights_.size() + 10);

@@ -2,9 +2,8 @@
 // GIRSHD01 persistence (grid/index_io.h). The load-bearing property is
 // bit-identity: a ShardedGirIndex fed an operation stream answers every
 // query exactly as a single DynamicGirIndex fed the same stream — same
-// ids, same ranks, same tie order — for any shard count, in both worker
-// and inline execution modes, under concurrent churn, and across a
-// save/load cycle. The merge oracle here is the authoritative check;
+// ids, same ranks, same tie order — for any shard count, under
+// concurrent churn, and across a save/load cycle. The merge oracle here is the authoritative check;
 // bench_shard_scaling re-runs it before measuring.
 //
 // This suite is deliberately fast-labelled: the TSan CI lane skips slow
@@ -51,10 +50,9 @@ DynamicGirIndex BuildSingle(const Dataset& points, const Dataset& weights,
 
 std::unique_ptr<ShardedGirIndex> BuildSharded(
     const Dataset& points, const Dataset& weights, size_t shards,
-    bool use_workers, ScanMode mode = ScanMode::kBlocked) {
+    ScanMode mode = ScanMode::kBlocked) {
   ShardedIndexOptions options;
   options.shards = shards;
-  options.use_workers = use_workers;
   options.dynamic.gir.scan_mode = mode;
   auto index = ShardedGirIndex::Build(points, weights, options);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
@@ -93,14 +91,14 @@ void ExpectSameRkr(const ReverseKRanksResult& got,
 /// DynamicGirIndex and to a sharded router, query-for-query bit-identical.
 /// Statuses must agree too, so both sides consume the same live-id space
 /// and stay in lockstep for the whole stream.
-void RunMergeOracle(size_t shards, bool use_workers, size_t num_ops,
-                    ScanMode mode, uint64_t seed) {
+void RunMergeOracle(size_t shards, size_t num_ops, ScanMode mode,
+                    uint64_t seed) {
   const size_t kDim = 4;
   const Dataset points = MakePoints(120, kDim, seed);
   const Dataset weights = MakeWeights(160, kDim, seed + 1);
   DynamicGirIndex single = BuildSingle(points, weights, mode);
   std::unique_ptr<ShardedGirIndex> sharded =
-      BuildSharded(points, weights, shards, use_workers, mode);
+      BuildSharded(points, weights, shards, mode);
 
   std::mt19937_64 rng(seed + 2);
   size_t live_points = points.size();
@@ -162,18 +160,21 @@ void RunMergeOracle(size_t shards, bool use_workers, size_t num_ops,
 TEST(ShardedIndexTest, MergeOracleMatchesSingleIndexAcrossShardCounts) {
   for (size_t shards : {1, 2, 4}) {
     SCOPED_TRACE(shards);
-    RunMergeOracle(shards, /*use_workers=*/true, /*num_ops=*/1000,
+    RunMergeOracle(shards, /*num_ops=*/1000,
                    ScanMode::kBlocked, /*seed=*/90 + shards);
   }
 }
 
+// Kept under its old name from when an inline (caller-executed) mode
+// existed; worker lanes are now the only executor, and this case holds
+// the oracle at an odd shard count.
 TEST(ShardedIndexTest, MergeOracleHoldsInInlineExecutionMode) {
-  RunMergeOracle(/*shards=*/3, /*use_workers=*/false, /*num_ops=*/1000,
+  RunMergeOracle(/*shards=*/3, /*num_ops=*/1000,
                  ScanMode::kBlocked, /*seed=*/201);
 }
 
 TEST(ShardedIndexTest, MergeOracleHoldsUnderTauScanMode) {
-  RunMergeOracle(/*shards=*/2, /*use_workers=*/true, /*num_ops=*/300,
+  RunMergeOracle(/*shards=*/2, /*num_ops=*/300,
                  ScanMode::kTauIndex, /*seed=*/301);
 }
 
@@ -182,7 +183,7 @@ TEST(ShardedIndexTest, BatchQueriesMergeBitIdentically) {
   const Dataset points = MakePoints(200, kDim, 41);
   const Dataset weights = MakeWeights(150, kDim, 42);
   DynamicGirIndex single = BuildSingle(points, weights);
-  auto sharded = BuildSharded(points, weights, 4, /*use_workers=*/true);
+  auto sharded = BuildSharded(points, weights, 4);
 
   // Churn both sides a little so the batch runs against deltas and
   // tombstones, not just the base generation.
@@ -215,7 +216,7 @@ TEST(ShardedIndexTest, ShardsMayStartEmptyWhenWeightsAreFewerThanShards) {
   const Dataset points = MakePoints(80, kDim, 51);
   const Dataset weights = MakeWeights(2, kDim, 52);  // shards 2, 3 empty
   DynamicGirIndex single = BuildSingle(points, weights);
-  auto sharded = BuildSharded(points, weights, 4, /*use_workers=*/false);
+  auto sharded = BuildSharded(points, weights, 4);
 
   std::mt19937_64 rng(53);
   const std::vector<double> q = RandomPointRow(rng, kDim);
@@ -241,7 +242,7 @@ TEST(ShardedIndexTest, InvalidMutationsAreRejectedWithoutConsumingSequence) {
   const size_t kDim = 3;
   const Dataset points = MakePoints(60, kDim, 61);
   const Dataset weights = MakeWeights(40, kDim, 62);
-  auto sharded = BuildSharded(points, weights, 2, /*use_workers=*/true);
+  auto sharded = BuildSharded(points, weights, 2);
 
   const std::vector<double> short_row = {1.0, 2.0};
   EXPECT_FALSE(
@@ -271,7 +272,7 @@ TEST(ShardedIndexTest, ConcurrentChurnReplaysToBitIdenticalAnswers) {
   const size_t kShards = 2;
   const Dataset points = MakePoints(80, kDim, 71);
   const Dataset weights = MakeWeights(120, kDim, 72);
-  auto sharded = BuildSharded(points, weights, kShards, /*use_workers=*/true);
+  auto sharded = BuildSharded(points, weights, kShards);
 
   struct Mutation {
     uint64_t seq = 0;
@@ -427,7 +428,7 @@ TEST(ShardedIndexIoTest, RoundTripsAndContinuesMutatingBitIdentically) {
   const size_t kDim = 4;
   const Dataset points = MakePoints(100, kDim, 81);
   const Dataset weights = MakeWeights(90, kDim, 82);
-  auto original = BuildSharded(points, weights, 3, /*use_workers=*/true);
+  auto original = BuildSharded(points, weights, 3);
 
   // Mutate before saving so the envelope carries deltas, tombstones and a
   // non-trivial round-robin cursor.
@@ -443,9 +444,9 @@ TEST(ShardedIndexIoTest, RoundTripsAndContinuesMutatingBitIdentically) {
 
   const std::string path = TempPath("sharded_roundtrip.bin");
   ASSERT_TRUE(SaveShardedIndex(path, *original).ok());
-  for (const bool use_workers : {true, false}) {
-    SCOPED_TRACE(use_workers);
-    auto loaded_r = LoadShardedIndex(path, use_workers);
+  for (const bool background_compact : {false, true}) {
+    SCOPED_TRACE(background_compact);
+    auto loaded_r = LoadShardedIndex(path, background_compact);
     ASSERT_TRUE(loaded_r.ok()) << loaded_r.status().ToString();
     ShardedGirIndex& loaded = *loaded_r.value();
     EXPECT_EQ(loaded.shard_count(), 3u);
@@ -470,7 +471,7 @@ TEST(ShardedIndexIoTest, RoundTripsAndContinuesMutatingBitIdentically) {
   }
 
   // Continue mutating one loaded copy in lockstep with the original.
-  auto continued_r = LoadShardedIndex(path, /*use_workers=*/false);
+  auto continued_r = LoadShardedIndex(path);
   ASSERT_TRUE(continued_r.ok());
   ShardedGirIndex& continued = *continued_r.value();
   std::mt19937_64 cont(85);
@@ -492,7 +493,7 @@ TEST(ShardedIndexIoTest, HostileEnvelopesAreRejectedNotTrusted) {
   const size_t kDim = 3;
   const Dataset points = MakePoints(40, kDim, 91);
   const Dataset weights = MakeWeights(30, kDim, 92);
-  auto index = BuildSharded(points, weights, 2, /*use_workers=*/false);
+  auto index = BuildSharded(points, weights, 2);
   const std::string path = TempPath("sharded_hostile.bin");
   ASSERT_TRUE(SaveShardedIndex(path, *index).ok());
   const std::string good = ReadFileBytes(path);
@@ -502,7 +503,7 @@ TEST(ShardedIndexIoTest, HostileEnvelopesAreRejectedNotTrusted) {
   const auto expect_rejected = [&](const std::string& bytes,
                                    const char* what) {
     WriteFileBytes(hostile, bytes);
-    auto loaded = LoadShardedIndex(hostile, /*use_workers=*/false);
+    auto loaded = LoadShardedIndex(hostile);
     EXPECT_FALSE(loaded.ok()) << what;
   };
 
@@ -569,7 +570,7 @@ TEST(ShardedIndexIoTest, HostileEnvelopesAreRejectedNotTrusted) {
   EXPECT_FALSE(LoadShardedIndex(dyn_path).ok());
 
   // And the untouched file still loads.
-  EXPECT_TRUE(LoadShardedIndex(path, /*use_workers=*/false).ok());
+  EXPECT_TRUE(LoadShardedIndex(path).ok());
 }
 
 TEST(ShardedIndexIoTest, FromPartsRejectsInconsistentShards) {
@@ -601,7 +602,6 @@ TEST(ShardedIndexIoTest, FromPartsRejectsInconsistentShards) {
   };
   ShardedIndexOptions options;
   options.shards = 2;
-  options.use_workers = false;
 
   // Shard count disagreeing with the options.
   EXPECT_FALSE(ShardedGirIndex::FromParts(options, make_parts(3), owners(3),

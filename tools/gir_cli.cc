@@ -804,9 +804,6 @@ int RunShardInit(const Args& args) {
   if (!weights.ok()) return FailStatus(weights.status());
   ShardedIndexOptions options;
   options.shards = *shards;
-  // The CLI builds, saves and exits: inline execution skips the worker
-  // thread spawn entirely.
-  options.use_workers = false;
   options.dynamic.gir.partitions = args.GetSize("partitions").value_or(32);
   const std::string mode = args.Get("scan-mode").value_or("blocked");
   if (mode == "wat") {
@@ -833,7 +830,7 @@ int RunShardInit(const Args& args) {
 int RunShardInfo(const Args& args) {
   const auto index_path = args.Get("index");
   if (!index_path) return Fail("shard info requires --index");
-  auto loaded = LoadShardedIndex(*index_path, /*use_workers=*/false);
+  auto loaded = LoadShardedIndex(*index_path);
   if (!loaded.ok()) return FailStatus(loaded.status());
   const ShardedGirIndex& index = *loaded.value();
   std::printf(
@@ -862,7 +859,7 @@ int RunShardQuery(const Args& args) {
   if (!index_path || !type || !k || !text) {
     return Fail("shard query requires --index --type --k --query v1,v2,...");
   }
-  auto loaded = LoadShardedIndex(*index_path, /*use_workers=*/false);
+  auto loaded = LoadShardedIndex(*index_path);
   if (!loaded.ok()) return FailStatus(loaded.status());
   const ShardedGirIndex& index = *loaded.value();
   auto q = ParseQueryVector(*text);

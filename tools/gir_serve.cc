@@ -152,8 +152,7 @@ int Run(int argc, char** argv) {
     // first checkpoint), where the WAL still holds the whole op suffix.
     std::ifstream probe(snapshot_path, std::ios::binary);
     if (probe.good()) {
-      index = LoadShardedIndex(snapshot_path, /*use_workers=*/true,
-                               background);
+      index = LoadShardedIndex(snapshot_path, background);
       if (!index.ok()) return FailStatus(index.status());
       recovered_from_snapshot = true;
     }
@@ -192,7 +191,7 @@ int Run(int argc, char** argv) {
           std::vector<uint32_t>(static_cast<size_t>(live_weights), 0),
           /*sequence=*/0, /*weight_insert_counter=*/live_weights);
     } else if (std::memcmp(magic, "GIRSHD01", sizeof(magic)) == 0) {
-      index = LoadShardedIndex(*index_path, /*use_workers=*/true, background);
+      index = LoadShardedIndex(*index_path, background);
     } else {
       auto dynamic = LoadDynamicIndex(*index_path);
       if (!dynamic.ok()) return FailStatus(dynamic.status());
