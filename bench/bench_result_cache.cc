@@ -145,7 +145,6 @@ void RunLockstep(const Dataset& points, const Dataset& weights,
   auto served = ShardedGirIndex::Build(points, weights, ServingOptions());
   if (!served.ok()) Fatal("build: " + served.status().ToString());
   ServerOptions options;
-  options.batch_wait_us = 0;  // single client: dispatch immediately
   QueryServer server(served.value().get(), options);
   if (!server.Start().ok()) Fatal("server start failed");
   auto connected = RemoteClient::Connect(options.host, server.port());
@@ -270,7 +269,10 @@ ArmResult RunTimedArm(const char* arm, ShardedGirIndex* index,
         size_t ops = 0;
         while (Clock::now() < deadline) {
           ++ops;
-          if (ops % 100 == 0) {  // the 1% mutation mix
+          // The 1% mutation mix, phased so each client's first mutation
+          // lands early (op 10), after it has filled cache entries: even
+          // a slow sanitizer build sends mutations within a short window.
+          if (ops % 100 == 10) {
             if (!client.InsertPoint(ConstRow(far.data(), far.size())).ok()) {
               Fatal("insert failed");
             }

@@ -592,18 +592,23 @@ void QueryServer::SchedulerLoop() {
     // requests from any class ride along within their deficits.
     const bool is_rkr = head_tenant.q.front().is_rkr;
     const uint32_t k = head_tenant.q.front().k;
-    const Clock::time_point fill_deadline =
-        head_tenant.q.front().enqueue_time +
-        std::chrono::microseconds(options_.batch_wait_us);
-    while (!stopping_ &&
-           MatchingQueriesLocked(is_rkr, k) < options_.max_batch) {
-      if (queue_cv_.wait_until(lock, fill_deadline) ==
-          std::cv_status::timeout) {
-        break;
+    // Work-conserving by default: the batch is whatever compatible work
+    // queued up while the previous batch executed. A non-zero
+    // batch_wait_us additionally holds the head for company.
+    if (options_.batch_wait_us > 0) {
+      const Clock::time_point fill_deadline =
+          head_tenant.q.front().enqueue_time +
+          std::chrono::microseconds(options_.batch_wait_us);
+      while (!stopping_ &&
+             MatchingQueriesLocked(is_rkr, k) < options_.max_batch) {
+        if (queue_cv_.wait_until(lock, fill_deadline) ==
+            std::cv_status::timeout) {
+          break;
+        }
+        if (!AnyPendingLocked()) break;
       }
-      if (!AnyPendingLocked()) break;
+      if (!AnyPendingLocked()) continue;
     }
-    if (!AnyPendingLocked()) continue;
 
     // Extract whole groups while the batch has room, visiting classes in
     // DWFQ order from the head and charging each class's deficit for the

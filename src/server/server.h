@@ -51,9 +51,13 @@ struct ServerOptions {
   /// batch is never split across micro-batches, so each response
   /// corresponds to exactly one serial execution point.
   uint32_t max_batch = 64;
-  /// How long the oldest pending request may wait for co-batchable
-  /// traffic before the scheduler dispatches it undersized.
-  uint32_t batch_wait_us = 200;
+  /// Opt-in hold: how long the oldest pending request may wait for
+  /// co-batchable traffic before the scheduler dispatches it undersized.
+  /// 0 (the default) is work-conserving: the scheduler takes everything
+  /// compatible that is queued the moment it frees up, so a lone request
+  /// runs at once and batches form from requests that arrived while the
+  /// previous batch executed.
+  uint32_t batch_wait_us = 0;
   /// Admission control: maximum queued query rows across all pending
   /// requests. Beyond it requests are answered kOverloaded immediately —
   /// queue memory stays bounded no matter how fast clients push.
@@ -83,12 +87,14 @@ struct ServerOptions {
 /// parse and validate frames, then either answer inline (ping/info/stats
 /// and all mutations) or enqueue query requests for the scheduler. The
 /// scheduler coalesces compatible pending requests — same query family
-/// and k — into a single ReverseTopKBatch/ReverseKRanksBatch sweep (the
-/// amortization ISSUE 3 measured), waiting at most batch_wait_us for the
-/// batch to fill. Each micro-batch then fans out to the shards as
-/// per-shard sub-batches dispatched concurrently by the router, so a
-/// writer only stalls the one shard that owns its weight — 1/N of the
-/// read capacity — instead of the whole index.
+/// and k — into a single ReverseTopKBatch/ReverseKRanksBatch sweep. It is
+/// work-conserving: whenever it is free it dispatches whatever compatible
+/// work is queued, so batches form from requests that arrived while the
+/// previous one executed (plus at most batch_wait_us of opt-in hold).
+/// Each micro-batch then fans out to the shards as per-shard sub-batches
+/// dispatched concurrently by the router, so a writer only stalls the one
+/// shard that owns its weight — 1/N of the read capacity — instead of the
+/// whole index.
 ///
 /// Consistency. The sharded router serializes mutations against queries
 /// internally (per-shard FIFO admission; DESIGN.md §15), so the server

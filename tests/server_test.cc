@@ -292,6 +292,54 @@ TEST(QueryServerTest, ConcurrentClientsCoalesceIntoMicroBatches) {
   EXPECT_LT(batches, requests);
 }
 
+TEST(QueryServerTest, DefaultOptionsStillCoalesceWhileTheEngineIsBusy) {
+  // No fill window: a batch holds only what queued while the previous one
+  // executed. Every client asks distinct rows, so no answer comes from
+  // the result cache and fewer dispatches than requests means coalescing.
+  ASSERT_EQ(ServerOptions{}.batch_wait_us, 0u);
+  const Dataset points = MakePoints(600, 4, 9);
+  const Dataset weights = MakeWeights(150, 4, 10);
+  auto index = BuildIndex(points, weights);
+  QueryServer server(index.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 25;
+  constexpr uint32_t kK = 8;
+  std::vector<ReverseTopKResult> expected(kThreads * kRounds);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = index->ReverseTopK(points.row(i), kK);
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      RemoteClient client = MustConnect(server);
+      for (size_t round = 0; round < kRounds; ++round) {
+        const size_t row = t * kRounds + round;
+        auto result = client.ReverseTopK(points.row(row), kK);
+        if (!result.ok() || result.value() != expected[row]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const std::string text = server.metrics().Render();
+  const auto value_of = [&](const std::string& key) {
+    const size_t pos = text.find(key + " ");
+    EXPECT_NE(pos, std::string::npos) << key;
+    return std::strtoull(text.c_str() + pos + key.size() + 1, nullptr, 10);
+  };
+  const uint64_t requests = value_of("requests_completed");
+  EXPECT_EQ(requests, kThreads * kRounds);
+  EXPECT_EQ(value_of("cache_hits"), 0u);
+  EXPECT_LT(value_of("batches_dispatched"), requests);
+}
+
 TEST(QueryServerTest, OverloadRejectsBeyondQueueLimitAndStaysBounded) {
   const Dataset points = MakePoints(300, 3, 11);
   const Dataset weights = MakeWeights(60, 3, 12);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -268,7 +270,11 @@ class TauIoTest : public ::testing::Test {
     options.k_max = 12;
     options.bins = 8;
     tau_ = TauIndex::Build(points_, weights_, options).value();
-    path_ = ::testing::TempDir() + "tau_io_test.bin";
+    // Per test and per process: ctest -j runs every case as its own
+    // process, so a shared name would let one case clobber another's file.
+    path_ = ::testing::TempDir() + "tau_io_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(SaveTauIndex(path_, *tau_).ok());
   }
 

@@ -34,6 +34,12 @@
 // with --shards workers; --no-background-compact restores synchronous
 // folding) rebuilds churned shards off the serving lanes.
 //
+// The query scheduler is work-conserving: whenever it is free it runs
+// everything compatible that is queued, so a lone request executes at
+// once and batches form from requests that arrived while the previous
+// batch ran. --batch-wait-us N (default 0) is an opt-in hold that keeps
+// the oldest request waiting up to N us for --max-batch rows of company.
+//
 // Binds (port 0 = ephemeral; the bound port is printed and, with
 // --port-file, written to a file for scripted callers), serves until
 // SIGTERM/SIGINT, then drains gracefully: admitted requests are answered,
@@ -312,10 +318,12 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "serving %zu points x %zu weights over %zu shard(s) on %s:%u "
-      "(max-batch %u, batch-wait %u us, queue-limit %u)\n",
+      "(max-batch %u, batch-wait %u us%s, queue-limit %u)\n",
       index.value()->live_point_count(), index.value()->live_weight_count(),
       index.value()->shard_count(), options.host.c_str(), server.port(),
-      options.max_batch, options.batch_wait_us, options.queue_limit);
+      options.max_batch, options.batch_wait_us,
+      options.batch_wait_us == 0 ? " (work-conserving)" : " hold",
+      options.queue_limit);
   std::fflush(stdout);
 
   if (const auto port_file = args.Get("port-file"); port_file.has_value()) {
