@@ -25,7 +25,6 @@
 
 #include "bench/bench_common.h"
 #include "core/thread_pool.h"
-#include "grid/parallel_gir.h"
 #include "grid/tau_index.h"
 
 namespace gir {
@@ -123,7 +122,7 @@ void RunEngine(const char* engine, const GirIndex& index,
     ThreadPool pool(threads);
     std::vector<ReverseTopKResult> rtk_parallel;
     rtk_parallel_ms = bench::TimeMs([&] {
-      rtk_parallel = ParallelReverseTopKBatch(index, queries, k, pool);
+      rtk_parallel = index.ReverseTopKBatch(queries, k, nullptr, &pool);
     });
     RequireEqualRtk(rtk_ref, rtk_parallel, "per-query RTK (parallel)");
   }
@@ -146,7 +145,7 @@ void RunEngine(const char* engine, const GirIndex& index,
     ThreadPool pool(threads);
     std::vector<ReverseKRanksResult> rkr_parallel;
     rkr_parallel_ms = bench::TimeMs([&] {
-      rkr_parallel = ParallelReverseKRanksBatch(index, queries, k, pool);
+      rkr_parallel = index.ReverseKRanksBatch(queries, k, nullptr, &pool);
     });
     RequireEqualRkr(rkr_ref, rkr_parallel, "per-query RKR (parallel)");
   }

@@ -4,7 +4,8 @@
 // the delta into a fresh generation (Compact) and the post-compact
 // recovery. Each measurement point is equality-gated against an index
 // rebuilt from scratch over the live sets before any number is emitted —
-// the bench refuses to time wrong answers.
+// the bench refuses to time wrong answers — and the compacted index's
+// footprint is gated against a fresh build over the same live sets.
 //
 // Churn mix per operation: 50% point insert (fresh uniform row), 20%
 // point delete, 15% weight insert (a copy of a random base weight row, so
@@ -89,6 +90,31 @@ void RequireMatchesRebuild(const DynamicGirIndex& dyn, const Dataset& queries,
                    where, qi);
       std::abort();
     }
+  }
+}
+
+/// A compaction must release the old delta: the compacted index may cost
+/// at most 5% more than a fresh build over the same live sets.
+void RequireCompactedFootprint(const DynamicGirIndex& dyn,
+                               const DynamicIndexOptions& options,
+                               const char* engine) {
+  const Dataset live_points = dyn.LivePoints();
+  const Dataset live_weights = dyn.LiveWeights();
+  auto fresh = DynamicGirIndex::Build(live_points, live_weights, options);
+  if (!fresh.ok()) {
+    std::fprintf(stderr, "FATAL: rebuild failed: %s\n",
+                 fresh.status().ToString().c_str());
+    std::abort();
+  }
+  const size_t fresh_bytes = fresh.value().MemoryBytes().total();
+  const size_t bytes = dyn.MemoryBytes().total();
+  std::printf("%s post-compact footprint: %zu bytes (fresh build %zu)\n",
+              engine, bytes, fresh_bytes);
+  if (bytes > fresh_bytes + fresh_bytes / 20) {
+    std::fprintf(stderr,
+                 "FATAL: %s compaction kept %zu bytes over a fresh build\n",
+                 engine, bytes - fresh_bytes);
+    std::abort();
   }
 }
 
@@ -241,6 +267,7 @@ void RunEngine(const char* engine, ScanMode mode, const Config& config,
     }
   });
   RequireMatchesRebuild(dyn, queries, k, "post-compact");
+  RequireCompactedFootprint(dyn, options, engine);
   const Measurement compacted = Measure(dyn, queries, k);
   EmitRecord(json, scale, config, dyn, engine, "post_compact", 0.0, total_ops, k,
              compacted, clean, compact_ms);

@@ -9,7 +9,7 @@
 #include "bench/bench_common.h"
 #include "core/thread_pool.h"
 #include "grid/aggregate.h"
-#include "grid/parallel_gir.h"
+#include "grid/gir_queries.h"
 
 namespace gir {
 namespace {
@@ -32,17 +32,24 @@ void Run() {
   auto queries = PickQueryIndices(n, num_queries, 3303);
   auto index = GirIndex::Build(points, weights).value();
 
+  // Both sides run the same engine: the one-row block call, without and
+  // with a pool striping W.
   std::printf("-- Parallel reverse k-ranks scaling --\n");
   TablePrinter par({"threads", "RKR (ms)", "speedup"});
-  const double base_ms = bench::AvgRkrMs(index, points, queries, k);
-  par.AddRow({"sequential", FormatDouble(base_ms, 2), "1.00"});
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
+  auto avg_rkr_ms = [&](ThreadPool* pool) {
     WallTimer timer;
     for (size_t qi : queries) {
-      ParallelReverseKRanks(index, points.row(qi), k, pool);
+      Dataset one(d);
+      one.AppendUnchecked(points.row(qi));
+      index.ReverseKRanksBatch(one, k, nullptr, pool);
     }
-    const double ms = timer.ElapsedMs() / static_cast<double>(queries.size());
+    return timer.ElapsedMs() / static_cast<double>(queries.size());
+  };
+  const double base_ms = avg_rkr_ms(nullptr);
+  par.AddRow({"no pool", FormatDouble(base_ms, 2), "1.00"});
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const double ms = avg_rkr_ms(&pool);
     par.AddRow({std::to_string(threads), FormatDouble(ms, 2),
                 FormatDouble(base_ms / ms, 2)});
   }

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "core/types.h"
-#include "grid/parallel_gir.h"
 
 namespace gir {
 
@@ -53,6 +51,29 @@ int64_t CountStrictlyBelow(const std::vector<double>& v, double s) {
 /// bound-filtered scans are cheaper than building the Domin buffer; the
 /// choice does not affect results.
 constexpr size_t kDominMinWeights = 8;
+
+/// Runs query(row, stats) for every row of a query block into results[i].
+/// The dirty engines answer each row independently, so a pool stripes
+/// whole rows.
+template <typename Result, typename Query>
+std::vector<Result> QueryRows(const Dataset& queries, QueryStats* stats,
+                              ThreadPool* pool, Query&& query) {
+  std::vector<Result> results(queries.size());
+  QueryStats total;
+  StripedFor(
+      pool, 0, queries.size(), 1, total, [] { return QueryStats{}; },
+      [&](size_t begin, size_t end, QueryStats& stripe_stats) {
+        for (size_t qi = begin; qi < end; ++qi) {
+          results[qi] = query(queries.row(qi),
+                              stats != nullptr ? &stripe_stats : nullptr);
+        }
+      },
+      [](QueryStats& into, const QueryStats& stripe_stats) {
+        into += stripe_stats;
+      });
+  if (stats != nullptr) *stats += total;
+  return results;
+}
 
 }  // namespace
 
@@ -208,9 +229,12 @@ Status DynamicGirIndex::Init(std::shared_ptr<const TauIndex> tau) {
   RebuildWeightColumns();
   RebuildDeltaWeightCells();
 
+  // Fresh vectors, not assign(mh, {}): assigning an empty vector into
+  // each element would keep every element's capacity, so a compaction
+  // would hold on to the whole old delta's score memory.
   const size_t mh = num_weight_handles();
-  dead_scores_.assign(mh, {});
-  delta_scores_.assign(mh, {});
+  dead_scores_ = std::vector<std::vector<double>>(mh);
+  delta_scores_ = std::vector<std::vector<double>>(mh);
   std::vector<double> sp(mh);
   for (size_t i = 0; i < nbp; ++i) {
     if (base_point_alive_.Get(i)) continue;
@@ -853,63 +877,7 @@ void DynamicGirIndex::EnsureCorrections(QueryPrep& prep, size_t h) const {
   prep.added[h] = CountStrictlyBelow(delta_scores_[h], prep.fq[h]);
 }
 
-void DynamicGirIndex::RunFallbackRanks(
-    const BlockedScanner& scanner, const BlockedScanner::QueryContext& qctx,
-    ConstRow q, const int64_t* thresholds, size_t m, ThreadPool* pool,
-    QueryStats* stats,
-    const std::function<void(size_t, int64_t)>& emit) const {
-  const size_t batch = scanner.weight_batch();
-  std::vector<size_t> starts;
-  for (size_t b = 0; b < m; b += batch) {
-    const size_t e = std::min(b + batch, m);
-    for (size_t w = b; w < e; ++w) {
-      if (thresholds[w] > 0) {
-        starts.push_back(b);
-        break;
-      }
-    }
-  }
-  if (starts.empty()) return;
-  auto run = [&](size_t ci_begin, size_t ci_end, QueryStats* run_stats,
-                 std::vector<std::pair<size_t, int64_t>>& out) {
-    BlockedScratch scratch;
-    std::vector<int64_t> thr;
-    std::vector<int64_t> ranks;
-    for (size_t ci = ci_begin; ci < ci_end; ++ci) {
-      const size_t b = starts[ci];
-      const size_t e = std::min(b + batch, m);
-      thr.assign(thresholds + b, thresholds + e);
-      ranks.resize(e - b);
-      scanner.RankBatch(q, qctx, b, e, thr.data(), ranks.data(), scratch,
-                        run_stats);
-      for (size_t i = 0; i < e - b; ++i) {
-        if (thr[i] > 0 && ranks[i] != kRankOverThreshold) {
-          out.emplace_back(b + i, ranks[i]);
-        }
-      }
-    }
-  };
-  std::vector<std::pair<size_t, int64_t>> found;
-  if (pool == nullptr || pool->thread_count() <= 1 || starts.size() < 2) {
-    run(0, starts.size(), stats, found);
-  } else {
-    std::mutex merge_mutex;
-    pool->ParallelFor(0, starts.size(), 1,
-                      [&](size_t ci_begin, size_t ci_end) {
-                        QueryStats local_stats;
-                        std::vector<std::pair<size_t, int64_t>> local;
-                        run(ci_begin, ci_end,
-                            stats != nullptr ? &local_stats : nullptr, local);
-                        std::lock_guard<std::mutex> lock(merge_mutex);
-                        if (stats != nullptr) *stats += local_stats;
-                        found.insert(found.end(), local.begin(), local.end());
-                      });
-  }
-  for (const auto& [w, rank] : found) emit(w, rank);
-}
-
 ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
-                                                    ThreadPool* pool,
                                                     QueryStats* stats) const {
   ReverseTopKResult result;
   const size_t live_w = live_weight_ids_.size();
@@ -923,7 +891,7 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
   const size_t nbp = base_points_->size();
   const size_t nbw = base_weights_->size();
   // Per-thread scratch: the dirty engines are called per query from both
-  // serial and pool-striped batch drivers, and reuse keeps the scoring
+  // serial and pool-striped batch calls, and reuse keeps the scoring
   // buffer's allocation out of the per-query cost.
   static thread_local QueryPrep prep;
   PrepareQuery(q, prep, stats);
@@ -1067,17 +1035,33 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
         options_.gir.use_domin && fallback_base >= kDominMinWeights;
     const BlockedScanner::QueryContext qctx =
         base_scanner.MakeQueryContext(q, use_domin);
-    RunFallbackRanks(base_scanner, qctx, q, base_thr.data(), nbw, pool,
-                     stats, [&](size_t w, int64_t) {
-                       result.push_back(live_weight_id(w));
-                     });
+    BlockedScratch scratch;
+    std::vector<int64_t> ranks;
+    const size_t batch = base_scanner.weight_batch();
+    for (size_t b = 0; b < nbw; b += batch) {
+      const size_t e = std::min(b + batch, nbw);
+      // Threshold 0 masks a slot; a batch without a fallback weight is
+      // skipped outright.
+      if (std::all_of(base_thr.begin() + b, base_thr.begin() + e,
+                      [](int64_t t) { return t == 0; })) {
+        continue;
+      }
+      ranks.resize(e - b);
+      base_scanner.RankBatch(q, qctx, b, e, base_thr.data() + b,
+                             ranks.data(), scratch, stats);
+      for (size_t i = 0; i < e - b; ++i) {
+        if (base_thr[b + i] != 0 && ranks[i] != kRankOverThreshold) {
+          result.push_back(live_weight_id(b + i));
+        }
+      }
+    }
   }
   std::sort(result.begin(), result.end());
   return result;
 }
 
 ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
-    ConstRow q, size_t k, ThreadPool* pool, QueryStats* stats,
+    ConstRow q, size_t k, QueryStats* stats,
     std::atomic<int64_t>* shared_cap) const {
   const size_t live_w = live_weight_ids_.size();
   if (k == 0 || live_w == 0) return {};
@@ -1086,7 +1070,7 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
   const size_t take = std::min(k, live_w);
   const int64_t no_bound = static_cast<int64_t>(live_point_ids_.size());
   // Per-thread scratch: the dirty engines are called per query from both
-  // serial and pool-striped batch drivers, and reuse keeps the scoring
+  // serial and pool-striped batch calls, and reuse keeps the scoring
   // buffer's allocation out of the per-query cost.
   static thread_local QueryPrep prep;
   PrepareQuery(q, prep, stats);
@@ -1195,90 +1179,45 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
                            unresolved_count >= kDominMinWeights;
     const BlockedScanner::QueryContext qctx =
         base_scanner.MakeQueryContext(q, use_domin);
-    if (pool == nullptr || pool->thread_count() <= 1) {
-      // Serial: the cap self-refines from the heap at batch granularity,
-      // exactly like the static blocked k-ranks scan.
-      auto scan_side = [&](const BlockedScanner& scanner, size_t m_side,
-                           size_t handle_base, const uint8_t* unresolved) {
-        if (m_side == 0) return;
-        const size_t batch = scanner.weight_batch();
-        BlockedScratch scratch;
-        std::vector<int64_t> thr;
-        std::vector<int64_t> ranks;
-        for (size_t b = 0; b < m_side; b += batch) {
-          const size_t e = std::min(b + batch, m_side);
-          bool any = false;
-          for (size_t w = b; w < e; ++w) {
-            if (unresolved[w] != 0) {
-              any = true;
-              break;
-            }
-          }
-          if (!any) continue;
-          int64_t cap = kth_hi;
-          if (heap.size() == take) cap = std::min(cap, heap.front().rank);
-          // Re-read the shared bound at batch granularity: sibling shards
-          // publish their exact k-th as they finish, so trailing scans
-          // tighten progressively. Any stale value read here is merely a
-          // looser (still sound) cap.
-          if (shared_cap != nullptr) {
-            cap = std::min(cap,
-                           shared_cap->load(std::memory_order_relaxed));
-          }
-          thr.resize(e - b);
-          ranks.resize(e - b);
-          for (size_t i = 0; i < e - b; ++i) {
-            const size_t h = handle_base + b + i;
-            const int64_t shift = prep.added[h] - prep.removed[h];
-            thr[i] = unresolved[b + i] != 0
-                         ? std::max<int64_t>(cap + 1 - shift, 0)
-                         : 0;
-          }
-          scanner.RankBatch(q, qctx, b, e, thr.data(), ranks.data(),
-                            scratch, stats);
-          for (size_t i = 0; i < e - b; ++i) {
-            if (unresolved[b + i] == 0 || ranks[i] == kRankOverThreshold) {
-              continue;
-            }
-            const size_t h = handle_base + b + i;
-            const int64_t shift = prep.added[h] - prep.removed[h];
-            PushRanked(heap, take,
-                       RankedWeight{live_weight_id(h), ranks[i] + shift});
-          }
-        }
-      };
-      scan_side(base_scanner, nbw, 0, base_unresolved.data());
-    } else {
-      // Parallel: a fixed sound cap (no cross-worker refinement). A looser
-      // threshold only converts over-threshold verdicts into exact ranks;
-      // the heap rejects exactly what refinement would have pruned.
+    // The cap self-refines from the heap at batch granularity, exactly
+    // like the static blocked k-ranks scan.
+    const size_t batch = base_scanner.weight_batch();
+    BlockedScratch scratch;
+    std::vector<int64_t> thr;
+    std::vector<int64_t> ranks;
+    for (size_t b = 0; b < nbw; b += batch) {
+      const size_t e = std::min(b + batch, nbw);
+      if (std::find(base_unresolved.begin() + b, base_unresolved.begin() + e,
+                    1) == base_unresolved.begin() + e) {
+        continue;
+      }
       int64_t cap = kth_hi;
       if (heap.size() == take) cap = std::min(cap, heap.front().rank);
+      // Re-read the shared bound at batch granularity: sibling shards
+      // publish their exact k-th as they finish, so trailing scans
+      // tighten progressively. Any stale value read here is merely a
+      // looser (still sound) cap.
       if (shared_cap != nullptr) {
         cap = std::min(cap, shared_cap->load(std::memory_order_relaxed));
       }
-      auto side_thresholds = [&](size_t m_side, size_t handle_base,
-                                 const uint8_t* unresolved) {
-        std::vector<int64_t> thr(m_side, 0);
-        for (size_t w = 0; w < m_side; ++w) {
-          if (unresolved[w] == 0) continue;
-          const size_t h = handle_base + w;
-          const int64_t shift = prep.added[h] - prep.removed[h];
-          thr[w] = std::max<int64_t>(cap + 1 - shift, 0);
+      thr.resize(e - b);
+      ranks.resize(e - b);
+      for (size_t h = b; h < e; ++h) {
+        const int64_t shift = prep.added[h] - prep.removed[h];
+        thr[h - b] = base_unresolved[h] != 0
+                         ? std::max<int64_t>(cap + 1 - shift, 0)
+                         : 0;
+      }
+      base_scanner.RankBatch(q, qctx, b, e, thr.data(), ranks.data(),
+                             scratch, stats);
+      for (size_t h = b; h < e; ++h) {
+        if (base_unresolved[h] == 0 || ranks[h - b] == kRankOverThreshold) {
+          continue;
         }
-        return thr;
-      };
-      std::vector<RankedWeight> found;
-      const std::vector<int64_t> base_thr =
-          side_thresholds(nbw, 0, base_unresolved.data());
-      RunFallbackRanks(base_scanner, qctx, q, base_thr.data(), nbw, pool,
-                       stats, [&](size_t w, int64_t rank) {
-                         const int64_t shift =
-                             prep.added[w] - prep.removed[w];
-                         found.push_back(
-                             RankedWeight{live_weight_id(w), rank + shift});
-                       });
-      for (const RankedWeight& entry : found) PushRanked(heap, take, entry);
+        const int64_t shift = prep.added[h] - prep.removed[h];
+        PushRanked(heap, take,
+                   RankedWeight{live_weight_id(h), ranks[h - b] + shift});
+      }
     }
   }
   std::sort(heap.begin(), heap.end());
@@ -1302,13 +1241,13 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
 ReverseTopKResult DynamicGirIndex::ReverseTopK(ConstRow q, size_t k,
                                                QueryStats* stats) const {
   if (!dirty()) return gir_->ReverseTopK(q, k, stats);
-  return DirtyReverseTopK(q, k, /*pool=*/nullptr, stats);
+  return DirtyReverseTopK(q, k, stats);
 }
 
 ReverseKRanksResult DynamicGirIndex::ReverseKRanks(ConstRow q, size_t k,
                                                    QueryStats* stats) const {
   if (!dirty()) return gir_->ReverseKRanks(q, k, stats);
-  return DirtyReverseKRanks(q, k, /*pool=*/nullptr, stats);
+  return DirtyReverseKRanks(q, k, stats);
 }
 
 ReverseKRanksResult DynamicGirIndex::ReverseKRanksCapped(
@@ -1317,83 +1256,27 @@ ReverseKRanksResult DynamicGirIndex::ReverseKRanksCapped(
   // Always the dirty engine: it is exact on a clean index too (every
   // correction is zero, so the brackets are the clean brackets), and it
   // is the engine the cap protocol is threaded through.
-  return DirtyReverseKRanks(q, k, /*pool=*/nullptr, stats, shared_cap);
+  return DirtyReverseKRanks(q, k, stats, shared_cap);
 }
 
 std::vector<ReverseTopKResult> DynamicGirIndex::ReverseTopKBatch(
-    const Dataset& queries, size_t k, QueryStats* stats) const {
-  if (!dirty()) return gir_->ReverseTopKBatch(queries, k, stats);
-  std::vector<ReverseTopKResult> results(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    results[qi] = DirtyReverseTopK(queries.row(qi), k, nullptr, stats);
-  }
-  return results;
+    const Dataset& queries, size_t k, QueryStats* stats,
+    ThreadPool* pool) const {
+  if (!dirty()) return gir_->ReverseTopKBatch(queries, k, stats, pool);
+  return QueryRows<ReverseTopKResult>(
+      queries, stats, pool, [&](ConstRow q, QueryStats* row_stats) {
+        return DirtyReverseTopK(q, k, row_stats);
+      });
 }
 
 std::vector<ReverseKRanksResult> DynamicGirIndex::ReverseKRanksBatch(
-    const Dataset& queries, size_t k, QueryStats* stats) const {
-  if (!dirty()) return gir_->ReverseKRanksBatch(queries, k, stats);
-  std::vector<ReverseKRanksResult> results(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    results[qi] = DirtyReverseKRanks(queries.row(qi), k, nullptr, stats);
-  }
-  return results;
-}
-
-ReverseTopKResult DynamicGirIndex::ParallelReverseTopK(
-    ConstRow q, size_t k, ThreadPool& pool, QueryStats* stats) const {
-  if (!dirty()) return gir::ParallelReverseTopK(*gir_, q, k, pool, stats);
-  return DirtyReverseTopK(q, k, &pool, stats);
-}
-
-ReverseKRanksResult DynamicGirIndex::ParallelReverseKRanks(
-    ConstRow q, size_t k, ThreadPool& pool, QueryStats* stats) const {
-  if (!dirty()) return gir::ParallelReverseKRanks(*gir_, q, k, pool, stats);
-  return DirtyReverseKRanks(q, k, &pool, stats);
-}
-
-std::vector<ReverseTopKResult> DynamicGirIndex::ParallelReverseTopKBatch(
-    const Dataset& queries, size_t k, ThreadPool& pool,
-    QueryStats* stats) const {
-  if (!dirty()) {
-    return gir::ParallelReverseTopKBatch(*gir_, queries, k, pool, stats);
-  }
-  std::vector<ReverseTopKResult> results(queries.size());
-  std::mutex merge_mutex;
-  pool.ParallelFor(0, queries.size(), 1, [&](size_t begin, size_t end) {
-    QueryStats local;
-    for (size_t qi = begin; qi < end; ++qi) {
-      results[qi] = DirtyReverseTopK(queries.row(qi), k, nullptr,
-                                     stats != nullptr ? &local : nullptr);
-    }
-    if (stats != nullptr) {
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      *stats += local;
-    }
-  });
-  return results;
-}
-
-std::vector<ReverseKRanksResult> DynamicGirIndex::ParallelReverseKRanksBatch(
-    const Dataset& queries, size_t k, ThreadPool& pool,
-    QueryStats* stats) const {
-  if (!dirty()) {
-    return gir::ParallelReverseKRanksBatch(*gir_, queries, k, pool, stats);
-  }
-  std::vector<ReverseKRanksResult> results(queries.size());
-  std::mutex merge_mutex;
-  pool.ParallelFor(0, queries.size(), 1, [&](size_t begin, size_t end) {
-    QueryStats local;
-    for (size_t qi = begin; qi < end; ++qi) {
-      results[qi] = DirtyReverseKRanks(queries.row(qi), k, nullptr,
-                                       stats != nullptr ? &local : nullptr);
-    }
-    if (stats != nullptr) {
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      *stats += local;
-    }
-  });
-  return results;
+    const Dataset& queries, size_t k, QueryStats* stats,
+    ThreadPool* pool) const {
+  if (!dirty()) return gir_->ReverseKRanksBatch(queries, k, stats, pool);
+  return QueryRows<ReverseKRanksResult>(
+      queries, stats, pool, [&](ConstRow q, QueryStats* row_stats) {
+        return DirtyReverseKRanks(q, k, row_stats);
+      });
 }
 
 }  // namespace gir

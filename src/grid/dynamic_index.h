@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -154,27 +153,17 @@ class DynamicGirIndex {
                                           std::atomic<int64_t>* shared_cap,
                                           QueryStats* stats = nullptr) const;
 
-  /// results[i] equals ReverseTopK(queries.row(i), k).
+  /// Query-block calls: results[i] equals ReverseTopK(queries.row(i), k)
+  /// (ReverseKRanks for the k-ranks form). `pool` is optional: a clean
+  /// index hands it to the base GirIndex's block call, which stripes W; a
+  /// dirty index stripes whole rows over it. Results are identical with
+  /// and without a pool.
   std::vector<ReverseTopKResult> ReverseTopKBatch(
-      const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
-  /// results[i] equals ReverseKRanks(queries.row(i), k).
+      const Dataset& queries, size_t k, QueryStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
   std::vector<ReverseKRanksResult> ReverseKRanksBatch(
-      const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
-
-  /// Parallel drivers. The single-query forms stripe the weight handles
-  /// (classification and blocked fallback) over the pool; the batch forms
-  /// stripe whole queries. Results are identical to the serial methods.
-  ReverseTopKResult ParallelReverseTopK(ConstRow q, size_t k, ThreadPool& pool,
-                                        QueryStats* stats = nullptr) const;
-  ReverseKRanksResult ParallelReverseKRanks(ConstRow q, size_t k,
-                                            ThreadPool& pool,
-                                            QueryStats* stats = nullptr) const;
-  std::vector<ReverseTopKResult> ParallelReverseTopKBatch(
-      const Dataset& queries, size_t k, ThreadPool& pool,
-      QueryStats* stats = nullptr) const;
-  std::vector<ReverseKRanksResult> ParallelReverseKRanksBatch(
-      const Dataset& queries, size_t k, ThreadPool& pool,
-      QueryStats* stats = nullptr) const;
+      const Dataset& queries, size_t k, QueryStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
   // ---- Introspection ---------------------------------------------------
 
@@ -329,16 +318,6 @@ class DynamicGirIndex {
   /// Copies handle h's tracked live-τ head (valid prefix) into `out`.
   void CopyLiveTauHead(size_t h, std::vector<double>* out) const;
 
-  /// Blocked-scan fallback over one weight side (base or delta weights).
-  /// thresholds[w] <= 0 masks slot w; emit(w, rank) fires, on the calling
-  /// thread, for every slot whose exact rank came back below its
-  /// threshold. `pool` != nullptr stripes the weight batches.
-  void RunFallbackRanks(const BlockedScanner& scanner,
-                        const BlockedScanner::QueryContext& qctx, ConstRow q,
-                        const int64_t* thresholds, size_t m, ThreadPool* pool,
-                        QueryStats* stats,
-                        const std::function<void(size_t, int64_t)>& emit) const;
-
   /// Shared per-query state of the dirty-path queries. Corrections are
   /// computed lazily: most weights are decided by conservative bounds
   /// (the correction counts are bounded by the dead/delta array sizes)
@@ -348,13 +327,13 @@ class DynamicGirIndex {
   void PrepareQuery(ConstRow q, QueryPrep& prep, QueryStats* stats) const;
   void EnsureCorrections(QueryPrep& prep, size_t h) const;
 
-  /// Dirty-path engines. `pool` == nullptr runs serially. `shared_cap`
+  /// Dirty-path engines (one query on the calling thread). `shared_cap`
   /// (nullable) is the cross-index k-th-rank bound protocol described at
   /// ReverseKRanksCapped.
-  ReverseTopKResult DirtyReverseTopK(ConstRow q, size_t k, ThreadPool* pool,
+  ReverseTopKResult DirtyReverseTopK(ConstRow q, size_t k,
                                      QueryStats* stats) const;
   ReverseKRanksResult DirtyReverseKRanks(ConstRow q, size_t k,
-                                         ThreadPool* pool, QueryStats* stats,
+                                         QueryStats* stats,
                                          std::atomic<int64_t>* shared_cap =
                                              nullptr) const;
 

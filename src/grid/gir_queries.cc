@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,12 +14,12 @@ namespace gir {
 
 namespace {
 
-/// Iterates weight batches of the scanner's batch width over [0, total),
-/// invoking fn(begin, end) for each.
+/// Iterates weight batches of the scanner's batch width over [begin, end),
+/// invoking fn(batch_begin, batch_end) for each.
 template <typename Fn>
-void ForEachWeightBatch(size_t total, size_t batch, Fn&& fn) {
-  for (size_t begin = 0; begin < total; begin += batch) {
-    fn(begin, std::min(begin + batch, total));
+void ForEachWeightBatch(size_t begin, size_t end, size_t batch, Fn&& fn) {
+  for (size_t b = begin; b < end; b += batch) {
+    fn(b, std::min(b + batch, end));
   }
 }
 
@@ -39,10 +38,168 @@ void PushRankedWeight(std::vector<RankedWeight>& heap, size_t k,
   }
 }
 
-/// Stripe grain for pool-parallel τ passes: a few stripes per worker.
-size_t TauStripeGrain(size_t total, size_t threads) {
-  const size_t target_stripes = std::max<size_t>(1, threads * 4);
-  return std::max<size_t>(1, (total + target_stripes - 1) / target_stripes);
+/// Lowers `bound` to `candidate` if smaller (atomic CAS-min).
+void AtomicMin(std::atomic<int64_t>& bound, int64_t candidate) {
+  int64_t current = bound.load(std::memory_order_relaxed);
+  while (candidate < current &&
+         !bound.compare_exchange_weak(current, candidate,
+                                      std::memory_order_relaxed)) {
+  }
+}
+
+/// Stripe grain for pool-parallel passes: a few stripes per worker, each
+/// a whole number of `align` items (so every stripe of the blocked engine
+/// runs full-width weight batches).
+size_t StripeGrain(size_t total, const ThreadPool* pool, size_t align) {
+  const size_t threads = pool != nullptr ? pool->thread_count() : 1;
+  const size_t target = std::max<size_t>(1, threads * 4);
+  const size_t grain = std::max<size_t>(1, (total + target - 1) / target);
+  return (grain + align - 1) / align * align;
+}
+
+/// τ passes over fewer weights than this stay on the calling thread: the
+/// O(|W|·d) sweep is then cheaper than handing stripes to the pool.
+constexpr size_t kMinTauStripeWeights = 1024;
+
+/// A stripe's share of a reverse top-k block.
+struct TopKStripe {
+  std::vector<ReverseTopKResult> results;
+  QueryStats stats;
+};
+
+void MergeTopKStripe(TopKStripe& into, const TopKStripe& stripe) {
+  for (size_t qi = 0; qi < into.results.size(); ++qi) {
+    into.results[qi].insert(into.results[qi].end(),
+                            stripe.results[qi].begin(),
+                            stripe.results[qi].end());
+  }
+  into.stats += stripe.stats;
+}
+
+/// The blocked engine's view of a query block: the row views and each
+/// query's dominator context (an O(n·d) pass per query, striped over the
+/// pool when there is one).
+struct BlockContexts {
+  std::vector<ConstRow> rows;
+  std::vector<BlockedScanner::QueryContext> qctxs;
+};
+
+BlockContexts MakeBlockContexts(const BlockedScanner& scanner,
+                                const Dataset& queries, bool use_domin,
+                                ThreadPool* pool) {
+  BlockContexts block;
+  block.rows.reserve(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    block.rows.push_back(queries.row(qi));
+  }
+  block.qctxs.resize(queries.size());
+  StripedFor(pool, 0, queries.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t qi = begin; qi < end; ++qi) {
+      block.qctxs[qi] = scanner.MakeQueryContext(block.rows[qi], use_domin);
+    }
+  });
+  return block;
+}
+
+/// A stripe's share of a reverse k-ranks exact pass.
+struct KRanksStripe {
+  std::vector<std::vector<RankedWeight>> heaps;
+  QueryStats stats;
+  /// 1 when the heaps were seeded out of scan order (the τ engine's
+  /// exactly-bracketed ranks): a later weight tying the k-th rank may then
+  /// still win on id, so the heap bound keeps the +1.
+  int64_t tie_slack = 0;
+};
+
+/// Reverse k-ranks exact pass over the weight batches starting at
+/// `batch_starts`: ranks every slot (qi, w) with scan[qi * m + w] set (all
+/// slots when `scan` is null) exactly up to min(caps[qi] + 1, the heap's
+/// k-th rank) and pushes each rank found into heaps[qi] (each reserved to
+/// k + 1; `seeded` when they already hold entries). caps[qi] must bound
+/// the answer's k-th rank from above; a stripe whose heap holds k entries
+/// lowers it, so pruning crosses stripes. Within an unseeded heap weights
+/// arrive in id order, so a rank tying its k-th loses to it; every other
+/// bound keeps the +1 so ties survive to the merge. The k smallest of a
+/// multiset are insertion-order independent, so the merged heaps match a
+/// serial scan.
+void RankExactPass(const BlockedScanner& scanner, const BlockContexts& block,
+                   const std::vector<size_t>& batch_starts,
+                   const uint8_t* scan, size_t m, size_t k,
+                   std::vector<std::atomic<int64_t>>& caps,
+                   std::vector<std::vector<RankedWeight>>& heaps, bool seeded,
+                   ThreadPool* pool, QueryStats* stats) {
+  const size_t num_queries = block.rows.size();
+  const size_t batch = scanner.weight_batch();
+  const auto make_stripe = [num_queries, k] {
+    KRanksStripe stripe;
+    stripe.heaps.resize(num_queries);
+    for (std::vector<RankedWeight>& heap : stripe.heaps) heap.reserve(k + 1);
+    return stripe;
+  };
+  KRanksStripe out{std::move(heaps), {}, seeded ? 1 : 0};
+  StripedFor(
+      pool, 0, batch_starts.size(),
+      StripeGrain(batch_starts.size(), pool, 1), out, make_stripe,
+      [&](size_t bi_begin, size_t bi_end, KRanksStripe& stripe) {
+        BlockedScratch scratch;
+        std::vector<int64_t> thresholds;
+        std::vector<int64_t> ranks;
+        for (size_t bi = bi_begin; bi < bi_end; ++bi) {
+          const size_t b = batch_starts[bi];
+          const size_t e = std::min(b + batch, m);
+          const size_t bl = e - b;
+          thresholds.resize(num_queries * bl);
+          ranks.resize(num_queries * bl);
+          for (size_t qi = 0; qi < num_queries; ++qi) {
+            const std::vector<RankedWeight>& heap = stripe.heaps[qi];
+            int64_t threshold = caps[qi].load(std::memory_order_relaxed) + 1;
+            if (heap.size() == k) {
+              threshold =
+                  std::min(threshold, heap.front().rank + stripe.tie_slack);
+            }
+            for (size_t i = 0; i < bl; ++i) {
+              // Threshold 0 masks a slot at no scan cost (the dominator
+              // count is always >= 0).
+              thresholds[qi * bl + i] =
+                  scan == nullptr || scan[qi * m + b + i] != 0 ? threshold
+                                                               : 0;
+            }
+          }
+          scanner.PrepareBatch(b, e, scratch);
+          scanner.RankPreparedMulti(
+              block.rows.data(), block.qctxs.data(), num_queries, b, e,
+              thresholds.data(), ranks.data(), scratch,
+              stats != nullptr ? &stripe.stats : nullptr);
+          for (size_t qi = 0; qi < num_queries; ++qi) {
+            std::vector<RankedWeight>& heap = stripe.heaps[qi];
+            for (size_t i = 0; i < bl; ++i) {
+              if (ranks[qi * bl + i] == kRankOverThreshold) continue;
+              PushRankedWeight(heap, k,
+                               RankedWeight{static_cast<VectorId>(b + i),
+                                            ranks[qi * bl + i]});
+            }
+            if (heap.size() == k) AtomicMin(caps[qi], heap.front().rank);
+          }
+        }
+      },
+      [k](KRanksStripe& into, const KRanksStripe& stripe) {
+        for (size_t qi = 0; qi < into.heaps.size(); ++qi) {
+          for (const RankedWeight& entry : stripe.heaps[qi]) {
+            PushRankedWeight(into.heaps[qi], k, entry);
+          }
+        }
+        into.stats += stripe.stats;
+      });
+  if (stats != nullptr) *stats += out.stats;
+  heaps = std::move(out.heaps);
+}
+
+/// A one-row query block: the single-query forms of the blocked and τ
+/// engines run as the block call over it.
+Dataset OneRow(ConstRow q) {
+  Dataset block(q.size());
+  block.AppendUnchecked(q);
+  return block;
 }
 
 }  // namespace
@@ -196,16 +353,8 @@ ReverseTopKResult GirIndex::ReverseTopK(ConstRow q, size_t k,
   // rank < 0 is unsatisfiable: answer empty without scanning (and without
   // counting scans), identically across every engine and batch shape.
   if (k == 0 || weights_->empty()) return {};
-  if (options_.scan_mode == ScanMode::kTauIndex) {
-    if (tau_ != nullptr && tau_->CanAnswerTopK(k)) {
-      return TauReverseTopK(q, k, /*pool=*/nullptr, stats);
-    }
-    // No τ-index attached, or k in the band (k_cap, |P|] the τ vector
-    // cannot answer: the blocked engine computes the same result exactly.
-    return BlockedReverseTopK(q, k, stats);
-  }
-  if (options_.scan_mode == ScanMode::kBlocked) {
-    return BlockedReverseTopK(q, k, stats);
+  if (options_.scan_mode != ScanMode::kWeightAtATime) {
+    return std::move(ReverseTopKBatch(OneRow(q), k, stats)[0]);
   }
   GinContext ctx{points_, &point_cells_, &grid_, options_.bound_mode};
   DominBuffer domin(points_->size());
@@ -231,51 +380,11 @@ ReverseTopKResult GirIndex::ReverseTopK(ConstRow q, size_t k,
   return result;
 }
 
-ReverseTopKResult GirIndex::BlockedReverseTopK(ConstRow q, size_t k,
-                                               QueryStats* stats) const {
-  if (k == 0 || weights_->empty()) return {};
-  BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
-                         grid_, options_.bound_mode, {}, bmx_.get());
-  const BlockedScanner::QueryContext qctx =
-      scanner.MakeQueryContext(q, options_.use_domin);
-  const int64_t threshold = static_cast<int64_t>(k);
-  if (options_.use_domin && qctx.dominator_count >= threshold) {
-    // Algorithm 2 lines 7-8, decided upfront: the dominator pass found
-    // >= k points dominating q, so no weight retains it. No weights were
-    // evaluated.
-    return {};
-  }
-  BlockedScratch scratch;
-  std::vector<int64_t> thresholds;
-  std::vector<int64_t> ranks;
-  ReverseTopKResult result;
-  ForEachWeightBatch(
-      weights_->size(), scanner.weight_batch(), [&](size_t begin, size_t end) {
-        thresholds.assign(end - begin, threshold);
-        ranks.resize(end - begin);
-        scanner.RankBatch(q, qctx, begin, end, thresholds.data(),
-                          ranks.data(), scratch, stats);
-        for (size_t i = 0; i < end - begin; ++i) {
-          if (ranks[i] != kRankOverThreshold) {
-            result.push_back(static_cast<VectorId>(begin + i));
-          }
-        }
-      });
-  if (stats != nullptr) stats->weights_evaluated += weights_->size();
-  return result;
-}
-
 ReverseKRanksResult GirIndex::ReverseKRanks(ConstRow q, size_t k,
                                             QueryStats* stats) const {
   if (k == 0 || weights_->empty()) return {};
-  if (options_.scan_mode == ScanMode::kTauIndex) {
-    if (tau_ != nullptr) {
-      return TauReverseKRanks(q, k, /*pool=*/nullptr, stats);
-    }
-    return BlockedReverseKRanks(q, k, stats);
-  }
-  if (options_.scan_mode == ScanMode::kBlocked) {
-    return BlockedReverseKRanks(q, k, stats);
+  if (options_.scan_mode != ScanMode::kWeightAtATime) {
+    return std::move(ReverseKRanksBatch(OneRow(q), k, stats)[0]);
   }
   GinContext ctx{points_, &point_cells_, &grid_, options_.bound_mode};
   DominBuffer domin(points_->size());
@@ -308,136 +417,119 @@ ReverseKRanksResult GirIndex::ReverseKRanks(ConstRow q, size_t k,
   return heap;
 }
 
-ReverseKRanksResult GirIndex::BlockedReverseKRanks(ConstRow q, size_t k,
-                                                   QueryStats* stats) const {
-  if (k == 0 || weights_->empty()) return {};
-  BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
-                         grid_, options_.bound_mode, {}, bmx_.get());
-  const BlockedScanner::QueryContext qctx =
-      scanner.MakeQueryContext(q, options_.use_domin);
-  BlockedScratch scratch;
-  std::vector<int64_t> thresholds;
-  std::vector<int64_t> ranks;
-  std::vector<RankedWeight> heap;
-  heap.reserve(k + 1);
-  const int64_t no_threshold = static_cast<int64_t>(points_->size()) + 1;
-  ForEachWeightBatch(
-      weights_->size(), scanner.weight_batch(), [&](size_t begin, size_t end) {
-        // The heap bound refreshes at batch granularity instead of per
-        // weight. A looser (stale) threshold only turns some
-        // over-threshold verdicts into exact ranks; the heap update below
-        // rejects exactly the entries the per-weight threshold would have
-        // pruned, so the final heap is bit-identical to the serial scan's.
-        const int64_t threshold =
-            heap.size() == k ? heap.front().rank : no_threshold;
-        thresholds.assign(end - begin, threshold);
-        ranks.resize(end - begin);
-        scanner.RankBatch(q, qctx, begin, end, thresholds.data(),
-                          ranks.data(), scratch, stats);
-        for (size_t i = 0; i < end - begin; ++i) {
-          if (ranks[i] == kRankOverThreshold) continue;
-          PushRankedWeight(heap, k,
-                           RankedWeight{static_cast<VectorId>(begin + i),
-                                        ranks[i]});
-        }
-      });
-  if (stats != nullptr) stats->weights_evaluated += weights_->size();
-  std::sort(heap.begin(), heap.end());
-  return heap;
-}
-
 std::vector<ReverseTopKResult> GirIndex::ReverseTopKBatch(
-    const Dataset& queries, size_t k, QueryStats* stats) const {
+    const Dataset& queries, size_t k, QueryStats* stats,
+    ThreadPool* pool) const {
   const size_t num_queries = queries.size();
-  std::vector<ReverseTopKResult> results(num_queries);
+  const size_t m = weights_->size();
+  const auto make_stripe = [num_queries] {
+    return TopKStripe{std::vector<ReverseTopKResult>(num_queries), {}};
+  };
+  TopKStripe out = make_stripe();
   // Same degenerate-query policy as the per-query entry point: k == 0
   // answers empty with zero scans, so batch counters stay equal to the
   // sum of the equivalent per-query runs.
-  if (num_queries == 0 || k == 0 || weights_->empty()) return results;
+  if (num_queries == 0 || k == 0 || m == 0) return std::move(out.results);
   if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr &&
       tau_->CanAnswerTopK(k)) {
-    return TauReverseTopKBatch(queries, k, /*pool=*/nullptr, stats);
+    // One tiled Q x W scoring sweep per stripe of W.
+    std::vector<const double*> qrows(num_queries);
+    for (size_t qi = 0; qi < num_queries; ++qi) {
+      qrows[qi] = queries.row(qi).data();
+    }
+    ThreadPool* tau_pool = m >= kMinTauStripeWeights ? pool : nullptr;
+    StripedFor(
+        tau_pool, 0, m, StripeGrain(m, tau_pool, 1), out, make_stripe,
+        [&](size_t begin, size_t end, TopKStripe& stripe) {
+          tau_->TopKBatchRange(qrows.data(), num_queries, k, begin, end,
+                               stripe.results.data());
+        },
+        MergeTopKStripe);
+    if (stats != nullptr) {
+      stats->weights_evaluated += m * num_queries;
+      stats->inner_products += m * num_queries;
+      stats->multiplications += m * num_queries * dim();
+    }
+    return std::move(out.results);
   }
   BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
                          grid_, options_.bound_mode, {}, bmx_.get());
+  const BlockContexts block =
+      MakeBlockContexts(scanner, queries, options_.use_domin, pool);
   const int64_t threshold = static_cast<int64_t>(k);
-
-  std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-  std::vector<ConstRow> rows;
-  rows.reserve(num_queries);
   std::vector<uint8_t> alive(num_queries, 1);
   size_t alive_count = 0;
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    rows.push_back(queries.row(qi));
-    qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
-    if (options_.use_domin && qctxs[qi].dominator_count >= threshold) {
+    if (options_.use_domin && block.qctxs[qi].dominator_count >= threshold) {
       alive[qi] = 0;  // >= k dominators: empty answer, no scans needed
     } else {
       ++alive_count;
     }
   }
-  if (alive_count == 0) return results;
+  if (alive_count == 0) return std::move(out.results);
 
-  BlockedScratch scratch;
-  std::vector<int64_t> thresholds;
-  std::vector<int64_t> ranks;
-  ForEachWeightBatch(
-      weights_->size(), scanner.weight_batch(), [&](size_t begin, size_t end) {
-        // One table build per weight batch serves every query, and
-        // RankPreparedMulti streams each point block (and accumulates
-        // each weight's bounds) once for the whole query block.
-        const size_t bl = end - begin;
-        thresholds.resize(num_queries * bl);
-        ranks.resize(num_queries * bl);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          // Threshold 0 masks a settled query's slots at no scan cost.
-          std::fill_n(thresholds.begin() + qi * bl, bl,
-                      alive[qi] != 0 ? threshold : 0);
-        }
-        scanner.PrepareBatch(begin, end, scratch);
-        scanner.RankPreparedMulti(rows.data(), qctxs.data(), num_queries,
-                                  begin, end, thresholds.data(), ranks.data(),
-                                  scratch, stats);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          if (alive[qi] == 0) continue;
-          for (size_t i = 0; i < bl; ++i) {
-            if (ranks[qi * bl + i] != kRankOverThreshold) {
-              results[qi].push_back(static_cast<VectorId>(begin + i));
+  const size_t batch = scanner.weight_batch();
+  StripedFor(
+      pool, 0, m, StripeGrain(m, pool, batch), out, make_stripe,
+      [&](size_t begin, size_t end, TopKStripe& stripe) {
+        BlockedScratch scratch;
+        std::vector<int64_t> thresholds;
+        std::vector<int64_t> ranks;
+        ForEachWeightBatch(begin, end, batch, [&](size_t b, size_t e) {
+          // One table build per weight batch serves every query, and
+          // RankPreparedMulti streams each point block (and accumulates
+          // each weight's bounds) once for the whole query block.
+          const size_t bl = e - b;
+          thresholds.resize(num_queries * bl);
+          ranks.resize(num_queries * bl);
+          for (size_t qi = 0; qi < num_queries; ++qi) {
+            // Threshold 0 masks a settled query's slots at no scan cost.
+            std::fill_n(thresholds.begin() + qi * bl, bl,
+                        alive[qi] != 0 ? threshold : 0);
+          }
+          scanner.PrepareBatch(b, e, scratch);
+          scanner.RankPreparedMulti(
+              block.rows.data(), block.qctxs.data(), num_queries, b, e,
+              thresholds.data(), ranks.data(), scratch,
+              stats != nullptr ? &stripe.stats : nullptr);
+          for (size_t qi = 0; qi < num_queries; ++qi) {
+            if (alive[qi] == 0) continue;
+            for (size_t i = 0; i < bl; ++i) {
+              if (ranks[qi * bl + i] != kRankOverThreshold) {
+                stripe.results[qi].push_back(static_cast<VectorId>(b + i));
+              }
             }
           }
-        }
-      });
+        });
+      },
+      MergeTopKStripe);
   if (stats != nullptr) {
-    stats->weights_evaluated += weights_->size() * alive_count;
+    *stats += out.stats;
+    stats->weights_evaluated += m * alive_count;
   }
-  return results;
+  return std::move(out.results);
 }
 
 std::vector<ReverseKRanksResult> GirIndex::ReverseKRanksBatch(
-    const Dataset& queries, size_t k, QueryStats* stats) const {
+    const Dataset& queries, size_t k, QueryStats* stats,
+    ThreadPool* pool) const {
   const size_t num_queries = queries.size();
   std::vector<ReverseKRanksResult> results(num_queries);
   if (num_queries == 0 || k == 0 || weights_->empty()) return results;
   if (options_.scan_mode == ScanMode::kTauIndex && tau_ != nullptr) {
-    return TauReverseKRanksBatch(queries, k, /*pool=*/nullptr, stats);
+    return TauReverseKRanksBatch(queries, k, pool, stats);
   }
   BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
                          grid_, options_.bound_mode, {}, bmx_.get());
-  std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-  std::vector<ConstRow> rows;
-  rows.reserve(num_queries);
-  for (size_t qi = 0; qi < num_queries; ++qi) {
-    rows.push_back(queries.row(qi));
-    qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
-  }
-  std::vector<std::vector<RankedWeight>> heaps(num_queries);
-  for (auto& heap : heaps) heap.reserve(k + 1);
-  const int64_t no_threshold = static_cast<int64_t>(points_->size()) + 1;
+  const BlockContexts block =
+      MakeBlockContexts(scanner, queries, options_.use_domin, pool);
   const size_t m = weights_->size();
-
-  BlockedScratch scratch;
-  std::vector<int64_t> thresholds;
-  std::vector<int64_t> ranks;
+  const size_t batch = scanner.weight_batch();
+  std::vector<std::atomic<int64_t>> caps(num_queries);
+  for (std::atomic<int64_t>& cap : caps) {
+    cap.store(static_cast<int64_t>(points_->size()),
+              std::memory_order_relaxed);
+  }
 
   // Bracketing pre-pass (DESIGN.md §11): one bounds-only sweep brackets
   // every (query, weight) rank. The k-th smallest upper bound per query
@@ -447,306 +539,52 @@ std::vector<ReverseKRanksResult> GirIndex::ReverseKRanksBatch(
   // every surviving slot starts with a tight death threshold instead of
   // an unbounded one. Answer members always survive (rank <= cap < cap +
   // 1), so the final heaps match the per-query scan exactly.
-  const bool bracket = num_queries >= 2 && m > k;
-  std::vector<int64_t> rank_lb;
-  std::vector<int64_t> caps(num_queries, no_threshold - 1);
-  if (bracket) {
-    rank_lb.resize(num_queries * m);
+  std::vector<uint8_t> scan;
+  if (num_queries >= 2 && m > k) {
+    std::vector<int64_t> rank_lb(num_queries * m);
     std::vector<int64_t> rank_ub(num_queries * m);
-    ForEachWeightBatch(m, scanner.weight_batch(),
-                       [&](size_t begin, size_t end) {
-                         scanner.PrepareBatch(begin, end, scratch);
-                         scanner.BracketRanksMulti(
-                             rows.data(), qctxs.data(), num_queries, begin,
-                             end, rank_lb.data() + begin,
-                             rank_ub.data() + begin, m, scratch, stats);
-                       });
+    QueryStats bracket_stats;
+    StripedFor(
+        pool, 0, m, StripeGrain(m, pool, batch), bracket_stats,
+        [] { return QueryStats{}; },
+        [&](size_t begin, size_t end, QueryStats& stripe_stats) {
+          BlockedScratch scratch;
+          ForEachWeightBatch(begin, end, batch, [&](size_t b, size_t e) {
+            scanner.PrepareBatch(b, e, scratch);
+            scanner.BracketRanksMulti(
+                block.rows.data(), block.qctxs.data(), num_queries, b, e,
+                rank_lb.data() + b, rank_ub.data() + b, m, scratch,
+                stats != nullptr ? &stripe_stats : nullptr);
+          });
+        },
+        [](QueryStats& into, const QueryStats& stripe_stats) {
+          into += stripe_stats;
+        });
+    if (stats != nullptr) *stats += bracket_stats;
+    scan.resize(num_queries * m);
     std::vector<int64_t> row(m);
     for (size_t qi = 0; qi < num_queries; ++qi) {
       std::copy_n(rank_ub.begin() + qi * m, m, row.begin());
       std::nth_element(row.begin(), row.begin() + (k - 1), row.end());
-      caps[qi] = row[k - 1];
+      caps[qi].store(row[k - 1], std::memory_order_relaxed);
+      for (size_t w = 0; w < m; ++w) {
+        scan[qi * m + w] = rank_lb[qi * m + w] <= row[k - 1] ? 1 : 0;
+      }
     }
   }
 
-  ForEachWeightBatch(
-      weights_->size(), scanner.weight_batch(), [&](size_t begin, size_t end) {
-        // Each query's heap bound refreshes at batch granularity, exactly
-        // as the single-query blocked path does; RankPreparedMulti then
-        // resolves the whole query block against this batch in one pass
-        // over the point blocks.
-        const size_t bl = end - begin;
-        thresholds.resize(num_queries * bl);
-        ranks.resize(num_queries * bl);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          const int64_t heap_cap =
-              heaps[qi].size() == k ? heaps[qi].front().rank : no_threshold;
-          const int64_t threshold = std::min(heap_cap, caps[qi] + 1);
-          if (!bracket) {
-            std::fill_n(thresholds.begin() + qi * bl, bl, threshold);
-            continue;
-          }
-          for (size_t i = 0; i < bl; ++i) {
-            // Threshold 0 masks a provably-out weight at no scan cost.
-            thresholds[qi * bl + i] =
-                rank_lb[qi * m + begin + i] > caps[qi] ? 0 : threshold;
-          }
-        }
-        scanner.PrepareBatch(begin, end, scratch);
-        scanner.RankPreparedMulti(rows.data(), qctxs.data(), num_queries,
-                                  begin, end, thresholds.data(), ranks.data(),
-                                  scratch, stats);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          for (size_t i = 0; i < bl; ++i) {
-            if (ranks[qi * bl + i] == kRankOverThreshold) continue;
-            PushRankedWeight(heaps[qi], k,
-                             RankedWeight{static_cast<VectorId>(begin + i),
-                                          ranks[qi * bl + i]});
-          }
-        }
-      });
+  std::vector<size_t> batch_starts;
+  for (size_t b = 0; b < m; b += batch) batch_starts.push_back(b);
+  std::vector<std::vector<RankedWeight>> heaps(num_queries);
+  for (std::vector<RankedWeight>& heap : heaps) heap.reserve(k + 1);
+  RankExactPass(scanner, block, batch_starts,
+                scan.empty() ? nullptr : scan.data(), m, k, caps, heaps,
+                /*seeded=*/false, pool, stats);
   for (size_t qi = 0; qi < num_queries; ++qi) {
     std::sort(heaps[qi].begin(), heaps[qi].end());
     results[qi] = std::move(heaps[qi]);
   }
-  if (stats != nullptr) {
-    stats->weights_evaluated += weights_->size() * num_queries;
-  }
-  return results;
-}
-
-ReverseTopKResult GirIndex::TauReverseTopK(ConstRow q, size_t k,
-                                           ThreadPool* pool,
-                                           QueryStats* stats) const {
-  const TauIndex& tau = *tau_;
-  const size_t m = weights_->size();
-  ReverseTopKResult result;
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    tau.TopKRange(q, k, 0, m, result);
-  } else {
-    std::mutex merge_mutex;
-    pool->ParallelFor(
-        0, m, TauStripeGrain(m, pool->thread_count()),
-        [&](size_t begin, size_t end) {
-          ReverseTopKResult local;
-          tau.TopKRange(q, k, begin, end, local);
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          result.insert(result.end(), local.begin(), local.end());
-        });
-    std::sort(result.begin(), result.end());
-  }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m;
-    stats->inner_products += m;
-    stats->multiplications += m * dim();
-  }
-  return result;
-}
-
-ReverseKRanksResult GirIndex::TauReverseKRanks(ConstRow q, size_t k,
-                                               ThreadPool* pool,
-                                               QueryStats* stats) const {
-  if (k == 0 || weights_->empty()) return {};
-  const TauIndex& tau = *tau_;
-  const size_t m = weights_->size();
-  const int64_t no_bound = static_cast<int64_t>(points_->size());
-
-  // Pass 1 — O(|W|·d): score q under every weight and bracket each rank
-  // with the τ vector + histogram. Exact whenever rank < k_cap or the
-  // score pins to a single-count bin.
-  std::vector<double> scores(m);
-  std::vector<int64_t> lo(m);
-  std::vector<int64_t> hi(m);
-  auto bound_stripe = [&](size_t begin, size_t end) {
-    tau.ScoreRange(q, begin, end, scores.data() + begin);
-    for (size_t w = begin; w < end; ++w) {
-      const TauRankBounds bounds = tau.BoundRank(w, scores[w]);
-      lo[w] = bounds.lo;
-      hi[w] = bounds.hi;
-    }
-  };
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    bound_stripe(0, m);
-  } else {
-    pool->ParallelFor(0, m, TauStripeGrain(m, pool->thread_count()),
-                      bound_stripe);
-  }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m;
-    stats->inner_products += m;
-    stats->multiplications += m * dim();
-  }
-
-  // The k-th smallest upper bound caps the answer's k-th rank: at least k
-  // weights have rank <= kth_hi, so any weight with lo > kth_hi is
-  // provably outside the answer (even under (rank, id) tie-breaking, which
-  // only ever admits rank <= the k-th smallest rank <= kth_hi).
-  int64_t kth_hi = no_bound;
-  if (m > k) {
-    std::vector<int64_t> tmp(hi);
-    std::nth_element(tmp.begin(), tmp.begin() + (k - 1), tmp.end());
-    kth_hi = tmp[k - 1];
-  }
-
-  std::vector<RankedWeight> heap;
-  heap.reserve(k + 1);
-  std::vector<uint8_t> unresolved(m, 0);
-  size_t unresolved_count = 0;
-  for (size_t w = 0; w < m; ++w) {
-    if (lo[w] > kth_hi) continue;
-    if (lo[w] == hi[w]) {
-      PushRankedWeight(heap, k,
-                       RankedWeight{static_cast<VectorId>(w), lo[w]});
-    } else {
-      unresolved[w] = 1;
-      ++unresolved_count;
-    }
-  }
-
-  if (unresolved_count > 0) {
-    // Pass 2 — blocked-scan fallback over the unresolved band only.
-    // Thresholds are capped at (current k-th bound) + 1, so every rank
-    // that could still enter the heap — including (rank, id) ties at the
-    // bound — comes back exact; anything over threshold is provably
-    // outside the answer.
-    BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
-                           grid_, options_.bound_mode, {}, bmx_.get());
-    const BlockedScanner::QueryContext qctx =
-        scanner.MakeQueryContext(q, options_.use_domin);
-    const size_t batch = scanner.weight_batch();
-    std::vector<size_t> batch_starts;
-    for (size_t b = 0; b < m; b += batch) {
-      const size_t e = std::min(b + batch, m);
-      for (size_t w = b; w < e; ++w) {
-        if (unresolved[w] != 0) {
-          batch_starts.push_back(b);
-          break;
-        }
-      }
-    }
-
-    auto scan_batches = [&](size_t bi_begin, size_t bi_end,
-                            std::vector<RankedWeight>& local_heap,
-                            std::vector<RankedWeight>* collect,
-                            std::atomic<int64_t>* shared_bound,
-                            QueryStats* batch_stats) {
-      BlockedScratch scratch;
-      std::vector<int64_t> thresholds;
-      std::vector<int64_t> ranks;
-      for (size_t bi = bi_begin; bi < bi_end; ++bi) {
-        const size_t b = batch_starts[bi];
-        const size_t e = std::min(b + batch, m);
-        int64_t cap = kth_hi;
-        if (local_heap.size() == k) {
-          cap = std::min(cap, local_heap.front().rank);
-        }
-        if (shared_bound != nullptr) {
-          cap = std::min(cap,
-                         shared_bound->load(std::memory_order_relaxed));
-        }
-        thresholds.resize(e - b);
-        ranks.resize(e - b);
-        for (size_t i = 0; i < e - b; ++i) {
-          // Threshold 0 masks resolved slots instantly (the dominator
-          // count is always >= 0), so only the unresolved slots cost.
-          thresholds[i] = unresolved[b + i] != 0 ? cap + 1 : 0;
-        }
-        scanner.RankBatch(q, qctx, b, e, thresholds.data(), ranks.data(),
-                          scratch, batch_stats);
-        for (size_t i = 0; i < e - b; ++i) {
-          if (unresolved[b + i] == 0 || ranks[i] == kRankOverThreshold) {
-            continue;
-          }
-          const RankedWeight entry{static_cast<VectorId>(b + i), ranks[i]};
-          PushRankedWeight(local_heap, k, entry);
-          if (collect != nullptr) collect->push_back(entry);
-        }
-        if (shared_bound != nullptr && local_heap.size() == k) {
-          int64_t current = shared_bound->load(std::memory_order_relaxed);
-          const int64_t candidate = local_heap.front().rank;
-          while (candidate < current &&
-                 !shared_bound->compare_exchange_weak(
-                     current, candidate, std::memory_order_relaxed)) {
-          }
-        }
-      }
-    };
-
-    if (pool == nullptr || pool->thread_count() <= 1 ||
-        batch_starts.size() < 8) {
-      scan_batches(0, batch_starts.size(), heap, nullptr, nullptr, stats);
-    } else {
-      std::atomic<int64_t> shared_bound{
-          heap.size() == k ? std::min(kth_hi, heap.front().rank) : kth_hi};
-      std::mutex merge_mutex;
-      std::vector<RankedWeight> found;
-      pool->ParallelFor(
-          0, batch_starts.size(),
-          TauStripeGrain(batch_starts.size(), pool->thread_count()),
-          [&](size_t begin, size_t end) {
-            // Each worker tightens a private copy of the exact-bound heap
-            // (pruning only); every exact rank it uncovers is collected
-            // and merged below — the k smallest of a multiset are
-            // insertion-order independent, so the merged heap matches the
-            // serial one.
-            std::vector<RankedWeight> local_heap = heap;
-            std::vector<RankedWeight> local_found;
-            QueryStats local_stats;
-            scan_batches(begin, end, local_heap, &local_found,
-                         &shared_bound,
-                         stats != nullptr ? &local_stats : nullptr);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            found.insert(found.end(), local_found.begin(),
-                         local_found.end());
-            if (stats != nullptr) *stats += local_stats;
-          });
-      for (const RankedWeight& entry : found) {
-        PushRankedWeight(heap, k, entry);
-      }
-    }
-  }
-
-  std::sort(heap.begin(), heap.end());
-  return heap;
-}
-
-std::vector<ReverseTopKResult> GirIndex::TauReverseTopKBatch(
-    const Dataset& queries, size_t k, ThreadPool* pool,
-    QueryStats* stats) const {
-  const TauIndex& tau = *tau_;
-  const size_t num_queries = queries.size();
-  const size_t m = weights_->size();
-  std::vector<ReverseTopKResult> results(num_queries);
-  if (num_queries == 0) return results;
-  std::vector<const double*> qrows(num_queries);
-  for (size_t qi = 0; qi < num_queries; ++qi) {
-    qrows[qi] = queries.row(qi).data();
-  }
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    tau.TopKBatchRange(qrows.data(), num_queries, k, 0, m, results.data());
-  } else {
-    std::mutex merge_mutex;
-    pool->ParallelFor(
-        0, m, TauStripeGrain(m, pool->thread_count()),
-        [&](size_t begin, size_t end) {
-          std::vector<ReverseTopKResult> local(num_queries);
-          tau.TopKBatchRange(qrows.data(), num_queries, k, begin, end,
-                             local.data());
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          for (size_t qi = 0; qi < num_queries; ++qi) {
-            results[qi].insert(results[qi].end(), local[qi].begin(),
-                               local[qi].end());
-          }
-        });
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      std::sort(results[qi].begin(), results[qi].end());
-    }
-  }
-  if (stats != nullptr) {
-    stats->weights_evaluated += m * num_queries;
-    stats->inner_products += m * num_queries;
-    stats->multiplications += m * num_queries * dim();
-  }
+  if (stats != nullptr) stats->weights_evaluated += m * num_queries;
   return results;
 }
 
@@ -755,13 +593,13 @@ std::vector<ReverseKRanksResult> GirIndex::TauReverseKRanksBatch(
     QueryStats* stats) const {
   const size_t num_queries = queries.size();
   std::vector<ReverseKRanksResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || weights_->empty()) return results;
   const TauIndex& tau = *tau_;
   const size_t m = weights_->size();
   const int64_t no_bound = static_cast<int64_t>(points_->size());
 
   // Pass 1 — one tiled Q x W sweep scores every query under every weight,
-  // then the τ vector + histogram bracket each (query, weight) rank.
+  // then the τ vector + histogram bracket each (query, weight) rank:
+  // exact whenever rank < k_cap or the score pins to a single-count bin.
   std::vector<const double*> qrows(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
     qrows[qi] = queries.row(qi).data();
@@ -769,38 +607,35 @@ std::vector<ReverseKRanksResult> GirIndex::TauReverseKRanksBatch(
   std::vector<double> scores(num_queries * m);
   std::vector<int64_t> lo(num_queries * m);
   std::vector<int64_t> hi(num_queries * m);
-  auto bound_stripe = [&](size_t begin, size_t end) {
-    tau.ScoreBlock(qrows.data(), num_queries, begin, end,
-                   scores.data() + begin, m);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      for (size_t w = begin; w < end; ++w) {
-        const TauRankBounds bounds = tau.BoundRank(w, scores[qi * m + w]);
-        lo[qi * m + w] = bounds.lo;
-        hi[qi * m + w] = bounds.hi;
-      }
-    }
-  };
-  if (pool == nullptr || pool->thread_count() <= 1 || m < 1024) {
-    bound_stripe(0, m);
-  } else {
-    pool->ParallelFor(0, m, TauStripeGrain(m, pool->thread_count()),
-                      bound_stripe);
-  }
+  ThreadPool* tau_pool = m >= kMinTauStripeWeights ? pool : nullptr;
+  StripedFor(tau_pool, 0, m, StripeGrain(m, tau_pool, 1),
+             [&](size_t begin, size_t end) {
+               tau.ScoreBlock(qrows.data(), num_queries, begin, end,
+                              scores.data() + begin, m);
+               for (size_t qi = 0; qi < num_queries; ++qi) {
+                 for (size_t w = begin; w < end; ++w) {
+                   const TauRankBounds bounds =
+                       tau.BoundRank(w, scores[qi * m + w]);
+                   lo[qi * m + w] = bounds.lo;
+                   hi[qi * m + w] = bounds.hi;
+                 }
+               }
+             });
   if (stats != nullptr) {
     stats->weights_evaluated += m * num_queries;
     stats->inner_products += m * num_queries;
     stats->multiplications += m * num_queries * dim();
   }
 
-  // Per query: seed the heap with the exactly-bounded ranks and cap the
-  // fallback at (k-th upper bound, heap bound) as in TauReverseKRanks.
-  // The caps stay fixed for the whole fallback (instead of self-refining
-  // per batch): a looser threshold only converts over-threshold verdicts
-  // into exact ranks, and any rank >= cap + 1 is provably outside the
-  // final heap, so the answer is unchanged.
+  // Per query: seed the heap with the exactly-bracketed ranks and cap the
+  // fallback at (k-th upper bound, heap bound). The k-th smallest upper bound
+  // caps the answer's k-th rank: at least k weights have rank <= kth_hi,
+  // so any weight with lo > kth_hi is provably outside the answer (even
+  // under (rank, id) tie-breaking, which only ever admits rank <= the
+  // k-th smallest rank <= kth_hi).
   std::vector<std::vector<RankedWeight>> heaps(num_queries);
   std::vector<uint8_t> unresolved(num_queries * m, 0);
-  std::vector<int64_t> caps(num_queries);
+  std::vector<std::atomic<int64_t>> caps(num_queries);
   size_t unresolved_count = 0;
   std::vector<int64_t> tmp;
   for (size_t qi = 0; qi < num_queries; ++qi) {
@@ -822,111 +657,33 @@ std::vector<ReverseKRanksResult> GirIndex::TauReverseKRanksBatch(
         ++unresolved_count;
       }
     }
-    caps[qi] = heap.size() == k ? std::min(kth_hi, heap.front().rank)
-                                : kth_hi;
+    caps[qi].store(
+        heap.size() == k ? std::min(kth_hi, heap.front().rank) : kth_hi,
+        std::memory_order_relaxed);
   }
 
   if (unresolved_count > 0) {
     // Pass 2 — one shared blocked fallback: every weight batch with any
     // unresolved (query, weight) slot runs once through
-    // RankPreparedMulti; resolved slots are masked with threshold 0.
+    // RankPreparedMulti; resolved slots are masked.
     BlockedScanner scanner(*points_, point_cells_, *weights_, weight_cells_,
                            grid_, options_.bound_mode, {}, bmx_.get());
-    std::vector<ConstRow> rows;
-    rows.reserve(num_queries);
-    std::vector<BlockedScanner::QueryContext> qctxs(num_queries);
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      rows.push_back(queries.row(qi));
-      qctxs[qi] = scanner.MakeQueryContext(rows[qi], options_.use_domin);
-    }
+    const BlockContexts block =
+        MakeBlockContexts(scanner, queries, options_.use_domin, pool);
     const size_t batch = scanner.weight_batch();
     std::vector<size_t> batch_starts;
     for (size_t b = 0; b < m; b += batch) {
       const size_t e = std::min(b + batch, m);
       bool any = false;
       for (size_t qi = 0; qi < num_queries && !any; ++qi) {
-        for (size_t w = b; w < e; ++w) {
-          if (unresolved[qi * m + w] != 0) {
-            any = true;
-            break;
-          }
-        }
+        any = std::find(unresolved.begin() + qi * m + b,
+                        unresolved.begin() + qi * m + e,
+                        1) != unresolved.begin() + qi * m + e;
       }
       if (any) batch_starts.push_back(b);
     }
-
-    // Workers refine private copies of the heaps/caps (pruning only) and
-    // collect every exact rank they uncover; the k smallest of a multiset
-    // are insertion-order independent, so merging reproduces the serial
-    // per-query answer.
-    auto scan_batches = [&](size_t bi_begin, size_t bi_end,
-                            std::vector<std::vector<RankedWeight>>& lheaps,
-                            std::vector<int64_t>& lcaps,
-                            std::vector<std::pair<size_t, RankedWeight>>*
-                                collect,
-                            QueryStats* batch_stats) {
-      BlockedScratch scratch;
-      std::vector<int64_t> thresholds;
-      std::vector<int64_t> ranks;
-      for (size_t bi = bi_begin; bi < bi_end; ++bi) {
-        const size_t b = batch_starts[bi];
-        const size_t e = std::min(b + batch, m);
-        const size_t bl = e - b;
-        thresholds.resize(num_queries * bl);
-        ranks.resize(num_queries * bl);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          for (size_t i = 0; i < bl; ++i) {
-            thresholds[qi * bl + i] =
-                unresolved[qi * m + b + i] != 0 ? lcaps[qi] + 1 : 0;
-          }
-        }
-        scanner.PrepareBatch(b, e, scratch);
-        scanner.RankPreparedMulti(rows.data(), qctxs.data(), num_queries, b,
-                                  e, thresholds.data(), ranks.data(),
-                                  scratch, batch_stats);
-        for (size_t qi = 0; qi < num_queries; ++qi) {
-          for (size_t i = 0; i < bl; ++i) {
-            if (unresolved[qi * m + b + i] == 0 ||
-                ranks[qi * bl + i] == kRankOverThreshold) {
-              continue;
-            }
-            const RankedWeight entry{static_cast<VectorId>(b + i),
-                                     ranks[qi * bl + i]};
-            PushRankedWeight(lheaps[qi], k, entry);
-            if (collect != nullptr) collect->emplace_back(qi, entry);
-          }
-          if (lheaps[qi].size() == k) {
-            lcaps[qi] = std::min(lcaps[qi], lheaps[qi].front().rank);
-          }
-        }
-      }
-    };
-
-    if (pool == nullptr || pool->thread_count() <= 1 ||
-        batch_starts.size() < 8) {
-      scan_batches(0, batch_starts.size(), heaps, caps, nullptr, stats);
-    } else {
-      std::mutex merge_mutex;
-      std::vector<std::pair<size_t, RankedWeight>> found;
-      pool->ParallelFor(
-          0, batch_starts.size(),
-          TauStripeGrain(batch_starts.size(), pool->thread_count()),
-          [&](size_t begin, size_t end) {
-            std::vector<std::vector<RankedWeight>> local_heaps = heaps;
-            std::vector<int64_t> local_caps = caps;
-            std::vector<std::pair<size_t, RankedWeight>> local_found;
-            QueryStats local_stats;
-            scan_batches(begin, end, local_heaps, local_caps, &local_found,
-                         stats != nullptr ? &local_stats : nullptr);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            found.insert(found.end(), local_found.begin(),
-                         local_found.end());
-            if (stats != nullptr) *stats += local_stats;
-          });
-      for (const auto& [qi, entry] : found) {
-        PushRankedWeight(heaps[qi], k, entry);
-      }
-    }
+    RankExactPass(scanner, block, batch_starts, unresolved.data(), m, k,
+                  caps, heaps, /*seeded=*/true, pool, stats);
   }
 
   for (size_t qi = 0; qi < num_queries; ++qi) {

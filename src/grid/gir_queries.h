@@ -56,9 +56,9 @@ struct GirOptions {
   /// Maintain the cross-weight dominance buffer (Algorithm 1's Domin).
   /// Disabled only by the ablation bench.
   bool use_domin = true;
-  /// Scan engine for ReverseTopK / ReverseKRanks (and their parallel
-  /// drivers). Default keeps the paper-faithful weight-at-a-time loop; the
-  /// batched multi-query entry points always use the blocked engine.
+  /// Scan engine for ReverseTopK / ReverseKRanks. Default keeps the
+  /// paper-faithful weight-at-a-time loop; the block calls always use the
+  /// blocked (or τ) engine.
   /// Not persisted by grid/index_io (it is an execution knob, not index
   /// state); loaded indexes start at the default.
   ScanMode scan_mode = ScanMode::kWeightAtATime;
@@ -112,31 +112,46 @@ class GirIndex {
                                    const GirOptions& options = {});
 
   /// Reverse top-k (Algorithm 2, GIRTop-k). q must have width dim().
+  /// Under kWeightAtATime this is the paper's scalar loop — the
+  /// reproduction reference the figure benches time and the tests compare
+  /// against; the other modes answer it as a one-row ReverseTopKBatch.
   ReverseTopKResult ReverseTopK(ConstRow q, size_t k,
                                 QueryStats* stats = nullptr) const;
 
-  /// Reverse k-ranks (Algorithm 3, GIRk-Rank).
+  /// Reverse k-ranks (Algorithm 3, GIRk-Rank). Scalar under
+  /// kWeightAtATime, a one-row ReverseKRanksBatch otherwise.
   ReverseKRanksResult ReverseKRanks(ConstRow q, size_t k,
                                     QueryStats* stats = nullptr) const;
 
-  /// Batched reverse top-k: answers one query per row of `queries` (each
-  /// of width dim()) as one multi-query execution — the shape a serving
-  /// loop draining a request queue needs. results[i] equals
-  /// ReverseTopK(queries.row(i), k). Under kTauIndex (with an attached
-  /// τ-index that answers k) the whole query block is scored against W in
-  /// register-tiled sweeps (TauIndex::TopKBatchRange); otherwise the
+  /// Reverse top-k over a query block: answers one query per row of
+  /// `queries` (each of width dim()) as one multi-query execution — the
+  /// shape a serving loop draining a request queue needs. results[i]
+  /// equals ReverseTopK(queries.row(i), k). Under kTauIndex (with an
+  /// attached τ-index that answers k) the whole block is scored against W
+  /// in register-tiled sweeps (TauIndex::TopKBatchRange); otherwise the
   /// blocked engine resolves the block via RankPreparedMulti, streaming
   /// each point block and accumulating each weight's bounds once per
   /// query batch instead of once per query.
+  ///
+  /// `pool` (optional) stripes W over its workers — whole weight batches
+  /// for the blocked engine, τ chunks for the τ sweep — with each stripe
+  /// resolving the whole block; results are identical to the serial call.
+  /// Without a pool (or with one worker) the call runs on the caller's
+  /// thread.
   std::vector<ReverseTopKResult> ReverseTopKBatch(
-      const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
+      const Dataset& queries, size_t k, QueryStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
-  /// Batched reverse k-ranks; results[i] equals
+  /// Reverse k-ranks over a query block; results[i] equals
   /// ReverseKRanks(queries.row(i), k). Same engine selection as
   /// ReverseTopKBatch: tiled τ bounding pass + shared blocked fallback
-  /// under kTauIndex, RankPreparedMulti otherwise.
+  /// under kTauIndex, RankPreparedMulti otherwise. With a pool, stripes
+  /// keep private (rank, id) heaps and share one monotone k-th-rank bound
+  /// per query; scans are capped at bound + 1 so rank ties survive to the
+  /// merge, which restores the library-wide (rank, id) order.
   std::vector<ReverseKRanksResult> ReverseKRanksBatch(
-      const Dataset& queries, size_t k, QueryStats* stats = nullptr) const;
+      const Dataset& queries, size_t k, QueryStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
   const Dataset& points() const { return *points_; }
   const Dataset& weights() const { return *weights_; }
@@ -182,48 +197,11 @@ class GirIndex {
            ApproxVectors point_cells, ApproxVectors weight_cells,
            GirOptions options);
 
-  /// ScanMode::kBlocked implementations (grid/blocked_scan.h engine).
-  ReverseTopKResult BlockedReverseTopK(ConstRow q, size_t k,
-                                       QueryStats* stats) const;
-  ReverseKRanksResult BlockedReverseKRanks(ConstRow q, size_t k,
-                                           QueryStats* stats) const;
-
-  /// ScanMode::kTauIndex implementations. `pool` != nullptr stripes the
-  /// O(|W|) passes over its workers (the parallel_gir drivers); nullptr
-  /// runs on the calling thread. TauReverseTopK requires
-  /// tau_->CanAnswerTopK(k) — the dispatchers route the remaining band to
-  /// the blocked engine.
-  ReverseTopKResult TauReverseTopK(ConstRow q, size_t k, ThreadPool* pool,
-                                   QueryStats* stats) const;
-  ReverseKRanksResult TauReverseKRanks(ConstRow q, size_t k, ThreadPool* pool,
-                                       QueryStats* stats) const;
-
-  /// Batch τ paths: one tiled Q x W scoring sweep instead of Q passes.
-  /// TauReverseTopKBatch requires tau_->CanAnswerTopK(k);
-  /// TauReverseKRanksBatch routes each query's unresolved band through one
-  /// shared RankPreparedMulti fallback.
-  std::vector<ReverseTopKResult> TauReverseTopKBatch(const Dataset& queries,
-                                                     size_t k,
-                                                     ThreadPool* pool,
-                                                     QueryStats* stats) const;
+  /// The kTauIndex reverse k-ranks block: tiled τ bracketing pass, then
+  /// one shared blocked fallback over every query's unresolved band.
   std::vector<ReverseKRanksResult> TauReverseKRanksBatch(
       const Dataset& queries, size_t k, ThreadPool* pool,
       QueryStats* stats) const;
-
-  friend ReverseTopKResult ParallelReverseTopK(const GirIndex& index,
-                                               ConstRow q, size_t k,
-                                               ThreadPool& pool,
-                                               QueryStats* stats);
-  friend ReverseKRanksResult ParallelReverseKRanks(const GirIndex& index,
-                                                   ConstRow q, size_t k,
-                                                   ThreadPool& pool,
-                                                   QueryStats* stats);
-  friend std::vector<ReverseTopKResult> ParallelReverseTopKBatch(
-      const GirIndex& index, const Dataset& queries, size_t k,
-      ThreadPool& pool, QueryStats* stats);
-  friend std::vector<ReverseKRanksResult> ParallelReverseKRanksBatch(
-      const GirIndex& index, const Dataset& queries, size_t k,
-      ThreadPool& pool, QueryStats* stats);
 
   const Dataset* points_;
   const Dataset* weights_;

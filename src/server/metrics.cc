@@ -69,7 +69,8 @@ std::string ServerMetrics::Render() const {
              uptime > 0 ? completed * 1000000u /
                               static_cast<uint64_t>(uptime)
                         : 0);
-  AppendLine(&out, "mean_batch_queries", batches > 0 ? queries / batches : 0);
+  AppendLine(&out, "mean_batch_queries",
+             batches > 0 ? batched_queries_.load(kRelaxed) / batches : 0);
   AppendLine(&out, "latency_p50_us_le", latency_hist_.Quantile(0.50));
   AppendLine(&out, "latency_p99_us_le", latency_hist_.Quantile(0.99));
   // Result-cache effectiveness (server/result_cache.h): hits served

@@ -37,6 +37,7 @@ class ServerMetrics {
     batches_.fetch_add(1, kRelaxed);
     completed_requests_.fetch_add(batch_requests, kRelaxed);
     completed_queries_.fetch_add(batch_queries, kRelaxed);
+    batched_queries_.fetch_add(batch_queries, kRelaxed);
     batch_hist_.Record(batch_queries);
   }
 
@@ -146,6 +147,9 @@ class ServerMetrics {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> completed_requests_{0};
   std::atomic<uint64_t> completed_queries_{0};
+  /// Query rows that reached a scheduler batch (cache hits excluded): the
+  /// numerator of mean_batch_queries.
+  std::atomic<uint64_t> batched_queries_{0};
   std::atomic<uint64_t> queue_depth_{0};
   std::atomic<uint64_t> scan_points_streamed_{0};
   std::atomic<uint64_t> scan_points_skipped_{0};

@@ -20,7 +20,6 @@
 #include "grid/adaptive_grid.h"
 #include "grid/blocked_scan.h"
 #include "grid/gir_queries.h"
-#include "grid/parallel_gir.h"
 #include "test_util.h"
 
 namespace gir {
@@ -122,9 +121,10 @@ TEST_P(BlockedEquivalence, ReverseKRanksMatchesSerialAndOracle) {
 TEST_P(BlockedEquivalence, ParallelBlockedMatchesSerial) {
   ThreadPool pool(3);
   const auto q = Queries()[1];
-  EXPECT_EQ(ParallelReverseTopK(*blocked_, q, 20, pool),
+  const Dataset one = testing_util::OneRow(q);
+  EXPECT_EQ(blocked_->ReverseTopKBatch(one, 20, nullptr, &pool)[0],
             serial_->ReverseTopK(q, 20));
-  EXPECT_EQ(ParallelReverseKRanks(*blocked_, q, 10, pool),
+  EXPECT_EQ(blocked_->ReverseKRanksBatch(one, 10, nullptr, &pool)[0],
             serial_->ReverseKRanks(q, 10));
 }
 
@@ -294,15 +294,6 @@ TEST(QueryStatsTest, AbortedReverseTopKCountsEvaluatedWeights) {
   // The first weight's scan discovers a dominator, so exactly one weight
   // was evaluated before the >= k dominators abort.
   EXPECT_EQ(stats.weights_evaluated, 1u);
-
-  // Parallel driver: every weight evaluated before the abort is counted;
-  // with a dominator found in the first stripe the total stays below |W|+1
-  // and above zero.
-  ThreadPool pool(2);
-  QueryStats pstats;
-  EXPECT_TRUE(ParallelReverseTopK(index, q, 1, pool, &pstats).empty());
-  EXPECT_GE(pstats.weights_evaluated, 1u);
-  EXPECT_LE(pstats.weights_evaluated, weights.size());
 
   // Non-aborted queries still count every weight.
   QueryStats full;

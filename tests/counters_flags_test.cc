@@ -15,7 +15,7 @@
 #include "data/weights.h"
 #include "grid/gir_queries.h"
 #include "grid/index_io.h"
-#include "grid/parallel_gir.h"
+#include "test_util.h"
 
 namespace gir {
 namespace {
@@ -74,8 +74,8 @@ TEST_P(BatchCounterTest, BatchWeightsEvaluatedMatchesPerQuerySum) {
     EXPECT_EQ(batch_rkr.weights_evaluated, sum_rkr.weights_evaluated);
 
     QueryStats par_rtk, par_rkr;
-    ParallelReverseTopKBatch(index, queries, k, pool, &par_rtk);
-    ParallelReverseKRanksBatch(index, queries, k, pool, &par_rkr);
+    index.ReverseTopKBatch(queries, k, &par_rtk, &pool);
+    index.ReverseKRanksBatch(queries, k, &par_rkr, &pool);
     EXPECT_EQ(par_rtk.weights_evaluated, sum_rtk.weights_evaluated);
     EXPECT_EQ(par_rkr.weights_evaluated, sum_rkr.weights_evaluated);
   }
@@ -110,14 +110,13 @@ TEST(BatchCounterTest, KZeroEvaluatesNothingOnEveryEntryPoint) {
   QueryStats stats;
   EXPECT_TRUE(index.ReverseTopK(queries.row(0), 0, &stats).empty());
   EXPECT_TRUE(index.ReverseKRanks(queries.row(0), 0, &stats).empty());
-  EXPECT_TRUE(ParallelReverseTopK(index, queries.row(0), 0, pool, &stats)
-                  .empty());
-  EXPECT_TRUE(ParallelReverseKRanks(index, queries.row(0), 0, pool, &stats)
-                  .empty());
+  const Dataset one = testing_util::OneRow(queries.row(0));
+  EXPECT_TRUE(index.ReverseTopKBatch(one, 0, &stats, &pool)[0].empty());
+  EXPECT_TRUE(index.ReverseKRanksBatch(one, 0, &stats, &pool)[0].empty());
   index.ReverseTopKBatch(queries, 0, &stats);
   index.ReverseKRanksBatch(queries, 0, &stats);
-  ParallelReverseTopKBatch(index, queries, 0, pool, &stats);
-  ParallelReverseKRanksBatch(index, queries, 0, pool, &stats);
+  index.ReverseTopKBatch(queries, 0, &stats, &pool);
+  index.ReverseKRanksBatch(queries, 0, &stats, &pool);
   EXPECT_EQ(stats.weights_evaluated, 0u);
   EXPECT_EQ(stats.inner_products, 0u);
 }

@@ -18,7 +18,7 @@
 #include "data/rng.h"
 #include "data/weights.h"
 #include "grid/index_io.h"
-#include "grid/parallel_gir.h"
+#include "test_util.h"
 
 namespace gir {
 namespace {
@@ -75,9 +75,10 @@ void ExpectMatchesOracle(const DynamicGirIndex& dyn, const Dataset& queries,
     EXPECT_EQ(rkr, NaiveReverseKRanks(live_points, live_weights, q, k))
         << context << " rkr-vs-naive q=" << qi << " k=" << k;
     if (pool != nullptr) {
-      EXPECT_EQ(rtk, dyn.ParallelReverseTopK(q, k, *pool))
+      const Dataset one = testing_util::OneRow(q);
+      EXPECT_EQ(rtk, dyn.ReverseTopKBatch(one, k, nullptr, pool)[0])
           << context << " parallel rtk q=" << qi << " k=" << k;
-      EXPECT_EQ(rkr, dyn.ParallelReverseKRanks(q, k, *pool))
+      EXPECT_EQ(rkr, dyn.ReverseKRanksBatch(one, k, nullptr, pool)[0])
           << context << " parallel rkr q=" << qi << " k=" << k;
     }
   }
@@ -88,9 +89,9 @@ void ExpectMatchesOracle(const DynamicGirIndex& dyn, const Dataset& queries,
   EXPECT_EQ(rkr_batch, oracle.ReverseKRanksBatch(queries, k))
       << context << " rkr batch k=" << k;
   if (pool != nullptr) {
-    EXPECT_EQ(rtk_batch, dyn.ParallelReverseTopKBatch(queries, k, *pool))
+    EXPECT_EQ(rtk_batch, dyn.ReverseTopKBatch(queries, k, nullptr, pool))
         << context << " parallel rtk batch k=" << k;
-    EXPECT_EQ(rkr_batch, dyn.ParallelReverseKRanksBatch(queries, k, *pool))
+    EXPECT_EQ(rkr_batch, dyn.ReverseKRanksBatch(queries, k, nullptr, pool))
         << context << " parallel rkr batch k=" << k;
   }
 }
@@ -287,6 +288,37 @@ TEST(DynamicIndexTest, AutoCompactTriggersAtThreshold) {
   EXPECT_EQ(dyn.generation(), 1u);
   EXPECT_FALSE(dyn.dirty());
   EXPECT_EQ(dyn.live_point_count(), 46u);
+}
+
+TEST(DynamicIndexTest, CompactionReleasesTheDeltaMemory) {
+  for (ScanMode mode : {ScanMode::kBlocked, ScanMode::kTauIndex}) {
+    SCOPED_TRACE(mode == ScanMode::kBlocked ? "blocked" : "tau");
+    Dataset points = GenerateUniform(1000, 4, 65);
+    Dataset weights = GenerateWeightsUniform(200, 4, 66);
+    DynamicIndexOptions options = MakeOptions(mode);
+    options.auto_compact = false;
+    auto built = DynamicGirIndex::Build(points, weights, options);
+    ASSERT_TRUE(built.ok());
+    DynamicGirIndex dyn = std::move(built).value();
+    Rng rng(67);
+    for (size_t i = 0; i < 300; ++i) {
+      const Dataset fresh = GenerateUniform(1, 4, rng.NextU64());
+      ASSERT_TRUE(dyn.InsertPoint(fresh.row(0)).ok());
+      if (i % 3 == 0) {
+        ASSERT_TRUE(
+            dyn.DeletePoint(rng.NextU64() % dyn.live_point_count()).ok());
+      }
+    }
+    ASSERT_TRUE(dyn.Compact().ok());
+    // The compacted index must cost what a fresh build over the same live
+    // sets costs, not keep the old delta's score arrays.
+    const Dataset live_points = dyn.LivePoints();
+    const Dataset live_weights = dyn.LiveWeights();
+    auto rebuilt = DynamicGirIndex::Build(live_points, live_weights, options);
+    ASSERT_TRUE(rebuilt.ok());
+    const size_t fresh_bytes = rebuilt.value().MemoryBytes().total();
+    EXPECT_LE(dyn.MemoryBytes().total(), fresh_bytes + fresh_bytes / 20);
+  }
 }
 
 TEST(DynamicIndexTest, OutOfRangeWeightInsertCompactsImmediately) {

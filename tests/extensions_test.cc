@@ -16,7 +16,6 @@
 #include "grid/adaptive_grid.h"
 #include "grid/aggregate.h"
 #include "grid/index_io.h"
-#include "grid/parallel_gir.h"
 #include "test_util.h"
 
 namespace gir {
@@ -87,9 +86,10 @@ TEST_P(ParallelGirTest, MatchesSequentialResults) {
   ThreadPool pool(threads);
   for (size_t qi : {size_t{0}, size_t{400}, size_t{799}}) {
     ConstRow q = wl.points.row(qi);
-    EXPECT_EQ(ParallelReverseTopK(index, q, 20, pool),
+    const Dataset one = testing_util::OneRow(q);
+    EXPECT_EQ(index.ReverseTopKBatch(one, 20, nullptr, &pool)[0],
               index.ReverseTopK(q, 20));
-    EXPECT_EQ(ParallelReverseKRanks(index, q, 20, pool),
+    EXPECT_EQ(index.ReverseKRanksBatch(one, 20, nullptr, &pool)[0],
               index.ReverseKRanks(q, 20));
   }
 }
@@ -105,14 +105,19 @@ TEST(ParallelGirTest2, EmptyResultWhenKDominatorsExist) {
   auto index = GirIndex::Build(points, weights).value();
   ThreadPool pool(4);
   std::vector<double> q{50.0, 50.0};
-  EXPECT_TRUE(ParallelReverseTopK(index, q, 3, pool).empty());
+  EXPECT_TRUE(
+      index.ReverseTopKBatch(testing_util::OneRow(q), 3, nullptr, &pool)[0]
+          .empty());
 }
 
 TEST(ParallelGirTest2, KZeroAndEmptyWeights) {
   Workload wl = MakeWorkload(50, 10, 3, 53);
   auto index = GirIndex::Build(wl.points, wl.weights).value();
   ThreadPool pool(2);
-  EXPECT_TRUE(ParallelReverseKRanks(index, wl.points.row(0), 0, pool).empty());
+  EXPECT_TRUE(index
+                  .ReverseKRanksBatch(testing_util::OneRow(wl.points.row(0)),
+                                      0, nullptr, &pool)[0]
+                  .empty());
 }
 
 TEST(ParallelGirTest2, StatsAreMerged) {
@@ -120,7 +125,8 @@ TEST(ParallelGirTest2, StatsAreMerged) {
   auto index = GirIndex::Build(wl.points, wl.weights).value();
   ThreadPool pool(4);
   QueryStats stats;
-  ParallelReverseKRanks(index, wl.points.row(10), 10, pool, &stats);
+  index.ReverseKRanksBatch(testing_util::OneRow(wl.points.row(10)), 10,
+                           &stats, &pool);
   EXPECT_GT(stats.points_visited, 0u);
   EXPECT_EQ(stats.weights_evaluated, wl.weights.size());
 }
@@ -131,8 +137,9 @@ TEST(ParallelGirTest2, ManyQueriesStressDeterminism) {
   ThreadPool pool(8);
   for (size_t qi = 0; qi < 20; ++qi) {
     ConstRow q = wl.points.row(qi * 15);
-    ASSERT_EQ(ParallelReverseKRanks(index, q, 7, pool),
-              NaiveReverseKRanks(wl.points, wl.weights, q, 7))
+    ASSERT_EQ(
+        index.ReverseKRanksBatch(testing_util::OneRow(q), 7, nullptr, &pool)[0],
+        NaiveReverseKRanks(wl.points, wl.weights, q, 7))
         << "query " << qi;
   }
 }

@@ -793,6 +793,30 @@ TEST(QueryServerTest, CacheServesRepeatsAndSurvivesIrrelevantMutations) {
   EXPECT_EQ(stats.find("cache_invalidations 0\n"), std::string::npos);
 }
 
+TEST(QueryServerTest, MeanBatchQueriesCountsOnlyDispatchedRows) {
+  const Dataset points = MakePoints(200, 3, 27);
+  const Dataset weights = MakeWeights(40, 3, 28);
+  auto index = BuildIndex(points, weights);
+  ServerOptions options;  // cache on by default
+  options.max_batch = 4;
+  QueryServer server(index.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  RemoteClient client = MustConnect(server);
+  // Two misses, then cache hits: hits complete queries without a batch,
+  // so they must not inflate the mean batch size past max_batch.
+  for (size_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(client.ReverseTopK(points.row(i % 2), 4).ok());
+  }
+  const std::string stats = server.metrics().Render();
+  EXPECT_EQ(stats.find("cache_hits 0\n"), std::string::npos);
+  const size_t pos = stats.find("\nmean_batch_queries ");
+  ASSERT_NE(pos, std::string::npos);
+  const uint64_t mean = std::strtoull(
+      stats.c_str() + pos + sizeof("\nmean_batch_queries ") - 1, nullptr, 10);
+  EXPECT_GE(mean, 1u);
+  EXPECT_LE(mean, options.max_batch);
+}
+
 TEST(QueryServerTest, CacheDisabledNeverSetsTheHitFlag) {
   const Dataset points = MakePoints(200, 3, 25);
   const Dataset weights = MakeWeights(40, 3, 26);

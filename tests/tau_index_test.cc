@@ -25,7 +25,6 @@
 #include "data/weights.h"
 #include "grid/gir_queries.h"
 #include "grid/index_io.h"
-#include "grid/parallel_gir.h"
 #include "grid/tau_index.h"
 #include "test_util.h"
 
@@ -126,9 +125,10 @@ TEST_P(TauEquivalence, ReverseKRanksMatchesOracleAndBothEngines) {
 TEST_P(TauEquivalence, ParallelTauMatchesSerial) {
   ThreadPool pool(3);
   for (const auto& q : Queries()) {
-    EXPECT_EQ(ParallelReverseTopK(*tau_, q, 20, pool),
+    const Dataset one = testing_util::OneRow(q);
+    EXPECT_EQ(tau_->ReverseTopKBatch(one, 20, nullptr, &pool)[0],
               serial_->ReverseTopK(q, 20));
-    EXPECT_EQ(ParallelReverseKRanks(*tau_, q, 10, pool),
+    EXPECT_EQ(tau_->ReverseKRanksBatch(one, 10, nullptr, &pool)[0],
               serial_->ReverseKRanks(q, 10));
   }
 }

@@ -50,6 +50,13 @@ inline Dataset MakeTieHeavy(size_t n, size_t d, uint64_t seed) {
   return Dataset::FromFlat(d, std::move(flat)).value();
 }
 
+/// A one-row query block, for driving the block calls with one query.
+inline Dataset OneRow(ConstRow q) {
+  Dataset block(q.size());
+  block.AppendUnchecked(q);
+  return block;
+}
+
 }  // namespace testing_util
 }  // namespace gir
 

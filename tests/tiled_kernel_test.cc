@@ -20,7 +20,6 @@
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/gir_queries.h"
-#include "grid/parallel_gir.h"
 #include "grid/tau_index.h"
 #include "test_util.h"
 
@@ -305,8 +304,8 @@ class BatchEquivalence : public ::testing::TestWithParam<bool> {
     ASSERT_EQ(rtk.size(), queries_.size());
     ASSERT_EQ(rkr.size(), queries_.size());
     ThreadPool pool(3);
-    const auto rtk_par = ParallelReverseTopKBatch(index, queries_, k, pool);
-    const auto rkr_par = ParallelReverseKRanksBatch(index, queries_, k, pool);
+    const auto rtk_par = index.ReverseTopKBatch(queries_, k, nullptr, &pool);
+    const auto rkr_par = index.ReverseKRanksBatch(queries_, k, nullptr, &pool);
     ASSERT_EQ(rtk_par.size(), queries_.size());
     ASSERT_EQ(rkr_par.size(), queries_.size());
     for (size_t qi = 0; qi < queries_.size(); ++qi) {

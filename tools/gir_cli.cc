@@ -73,7 +73,6 @@
 #include "grid/dynamic_index.h"
 #include "grid/gir_queries.h"
 #include "grid/index_io.h"
-#include "grid/parallel_gir.h"
 #include "grid/sharded_index.h"
 #include "io/dataset_io.h"
 #include "server/client.h"
@@ -268,6 +267,30 @@ std::optional<std::vector<double>> ParseQueryVector(const std::string& text) {
   return values;
 }
 
+/// Answers one rtk/rkr query on a local index (GirIndex, DynamicGirIndex
+/// or ShardedGirIndex) and prints it, then the counters with `with_stats`.
+/// Returns false for any other --type.
+template <typename Index>
+bool PrintAnswer(const Index& index, const std::string& type, ConstRow q,
+                 size_t k, bool with_stats) {
+  QueryStats stats;
+  QueryStats* stats_ptr = with_stats ? &stats : nullptr;
+  if (type == "rtk") {
+    const ReverseTopKResult result = index.ReverseTopK(q, k, stats_ptr);
+    std::printf("%zu matching preferences\n", result.size());
+    for (VectorId id : result) std::printf("weight %u\n", id);
+  } else if (type == "rkr") {
+    for (const RankedWeight& entry : index.ReverseKRanks(q, k, stats_ptr)) {
+      std::printf("weight %u rank %lld\n", entry.weight_id,
+                  static_cast<long long>(entry.rank));
+    }
+  } else {
+    return false;
+  }
+  if (with_stats) std::printf("# stats: %s\n", stats.ToString().c_str());
+  return true;
+}
+
 int RunQuery(const Args& args) {
   const auto points_path = args.Get("points");
   const auto weights_path = args.Get("weights");
@@ -314,24 +337,8 @@ int RunQuery(const Args& args) {
     index = GirIndex::Build(points.value(), weights.value());
   }
   if (!index.ok()) return FailStatus(index.status());
-
-  QueryStats stats;
-  QueryStats* stats_ptr = args.Has("stats") ? &stats : nullptr;
-  if (*type == "rtk") {
-    auto result = index.value().ReverseTopK(q, *k, stats_ptr);
-    std::printf("%zu matching preferences\n", result.size());
-    for (VectorId id : result) std::printf("weight %u\n", id);
-  } else if (*type == "rkr") {
-    auto result = index.value().ReverseKRanks(q, *k, stats_ptr);
-    for (const auto& entry : result) {
-      std::printf("weight %u rank %lld\n", entry.weight_id,
-                  static_cast<long long>(entry.rank));
-    }
-  } else {
+  if (!PrintAnswer(index.value(), *type, q, *k, args.Has("stats"))) {
     return Fail("--type must be rtk, rkr or topk");
-  }
-  if (stats_ptr != nullptr) {
-    std::printf("# stats: %s\n", stats.ToString().c_str());
   }
   return 0;
 }
@@ -452,24 +459,8 @@ int RunTauQuery(const Args& args) {
       std::make_shared<const TauIndex>(std::move(tau).value()));
   if (!attach.ok()) return FailStatus(attach);
   index.value().set_scan_mode(ScanMode::kTauIndex);
-
-  QueryStats stats;
-  QueryStats* stats_ptr = args.Has("stats") ? &stats : nullptr;
-  if (*type == "rtk") {
-    auto result = index.value().ReverseTopK(q, *k, stats_ptr);
-    std::printf("%zu matching preferences\n", result.size());
-    for (VectorId id : result) std::printf("weight %u\n", id);
-  } else if (*type == "rkr") {
-    auto result = index.value().ReverseKRanks(q, *k, stats_ptr);
-    for (const auto& entry : result) {
-      std::printf("weight %u rank %lld\n", entry.weight_id,
-                  static_cast<long long>(entry.rank));
-    }
-  } else {
+  if (!PrintAnswer(index.value(), *type, q, *k, args.Has("stats"))) {
     return Fail("--type must be rtk or rkr");
-  }
-  if (stats_ptr != nullptr) {
-    std::printf("# stats: %s\n", stats.ToString().c_str());
   }
   return 0;
 }
@@ -526,25 +517,21 @@ int RunBatchQuery(const Args& args) {
   }
 
   const size_t threads = args.GetSize("threads").value_or(1);
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
   QueryStats stats;
   QueryStats* stats_ptr = args.Has("stats") ? &stats : nullptr;
   const size_t num_queries = queries.size();
   const auto start = std::chrono::steady_clock::now();
   std::vector<ReverseTopKResult> rtk_results;
   std::vector<ReverseKRanksResult> rkr_results;
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    if (*type == "rtk") {
-      rtk_results = ParallelReverseTopKBatch(index.value(), queries, *k, pool,
-                                             stats_ptr);
-    } else {
-      rkr_results = ParallelReverseKRanksBatch(index.value(), queries, *k,
-                                               pool, stats_ptr);
-    }
-  } else if (*type == "rtk") {
-    rtk_results = index.value().ReverseTopKBatch(queries, *k, stats_ptr);
+  if (*type == "rtk") {
+    rtk_results =
+        index.value().ReverseTopKBatch(queries, *k, stats_ptr, pool_ptr);
   } else {
-    rkr_results = index.value().ReverseKRanksBatch(queries, *k, stats_ptr);
+    rkr_results =
+        index.value().ReverseKRanksBatch(queries, *k, stats_ptr, pool_ptr);
   }
   const double batch_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - start)
@@ -747,24 +734,9 @@ int RunUpdateQuery(const Args& args) {
   if (q->size() != index.dim()) {
     return Fail("query vector width does not match the index dimension");
   }
-  QueryStats stats;
-  QueryStats* stats_ptr = args.Has("stats") ? &stats : nullptr;
-  ConstRow row(q->data(), q->size());
-  if (*type == "rtk") {
-    auto result = index.ReverseTopK(row, *k, stats_ptr);
-    std::printf("%zu matching preferences\n", result.size());
-    for (VectorId id : result) std::printf("weight %u\n", id);
-  } else if (*type == "rkr") {
-    auto result = index.ReverseKRanks(row, *k, stats_ptr);
-    for (const auto& entry : result) {
-      std::printf("weight %u rank %lld\n", entry.weight_id,
-                  static_cast<long long>(entry.rank));
-    }
-  } else {
+  if (!PrintAnswer(index, *type, ConstRow(q->data(), q->size()), *k,
+                   args.Has("stats"))) {
     return Fail("--type must be rtk or rkr");
-  }
-  if (stats_ptr != nullptr) {
-    std::printf("# stats: %s\n", stats.ToString().c_str());
   }
   return 0;
 }
@@ -867,24 +839,9 @@ int RunShardQuery(const Args& args) {
   if (q->size() != index.dim()) {
     return Fail("query vector width does not match the index dimension");
   }
-  QueryStats stats;
-  QueryStats* stats_ptr = args.Has("stats") ? &stats : nullptr;
-  ConstRow row(q->data(), q->size());
-  if (*type == "rtk") {
-    auto result = index.ReverseTopK(row, *k, stats_ptr);
-    std::printf("%zu matching preferences\n", result.size());
-    for (VectorId id : result) std::printf("weight %u\n", id);
-  } else if (*type == "rkr") {
-    auto result = index.ReverseKRanks(row, *k, stats_ptr);
-    for (const auto& entry : result) {
-      std::printf("weight %u rank %lld\n", entry.weight_id,
-                  static_cast<long long>(entry.rank));
-    }
-  } else {
+  if (!PrintAnswer(index, *type, ConstRow(q->data(), q->size()), *k,
+                   args.Has("stats"))) {
     return Fail("--type must be rtk or rkr");
-  }
-  if (stats_ptr != nullptr) {
-    std::printf("# stats: %s\n", stats.ToString().c_str());
   }
   return 0;
 }
