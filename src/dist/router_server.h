@@ -1,16 +1,12 @@
 #ifndef GIR_DIST_ROUTER_SERVER_H_
 #define GIR_DIST_ROUTER_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/status.h"
 #include "dist/router_core.h"
+#include "server/frame_server.h"
 #include "server/protocol.h"
 
 namespace gir {
@@ -25,10 +21,11 @@ struct RouterServerOptions {
 
 /// RouterServer — the GIRNET01 front end of a DistRouter: the same wire
 /// protocol `gir_serve` speaks, served by a cluster instead of one
-/// process. One accept thread plus one reader thread per connection;
-/// every verb executes inline on its reader thread (the DistRouter's
-/// per-shard lanes provide the concurrency — a reader blocks only for
-/// its own fan-out's round trips).
+/// process, over the same transport (server/frame_server.h): one accept
+/// thread plus one reader thread per connection, the same request check
+/// and drain policy. Every verb executes inline on its reader thread (the
+/// DistRouter's per-shard lanes provide the concurrency — a reader blocks
+/// only for its own fan-out's round trips).
 ///
 /// Answers that miss one or more shards are returned with status
 /// kDegraded, a shard-coverage bitmap prefixed to the normal payload
@@ -44,47 +41,18 @@ class RouterServer {
   RouterServer& operator=(const RouterServer&) = delete;
 
   Status Start();
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
   /// Graceful drain: stops accepting, unblocks the readers, joins.
   void Shutdown();
 
  private:
-  struct Connection {
-    explicit Connection(int fd_in) : fd(fd_in) {}
-    ~Connection();
-    int fd;
-    std::mutex write_mu;
-  };
-
-  void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<Connection> conn);
-  void Dispatch(const std::shared_ptr<Connection>& conn,
-                const NetRequest& request);
-  void HandleQuery(const std::shared_ptr<Connection>& conn,
-                   const NetRequest& request);
-  void HandleMutation(const std::shared_ptr<Connection>& conn,
-                      const NetRequest& request);
-
-  void SendBody(const std::shared_ptr<Connection>& conn,
-                const std::string& body);
-  void SendError(const std::shared_ptr<Connection>& conn, NetVerb verb,
-                 NetStatus status, uint64_t request_id,
-                 const std::string& message);
+  void Dispatch(const ConnectionPtr& conn, const NetRequest& request);
+  void HandleQuery(const ConnectionPtr& conn, const NetRequest& request);
+  void HandleMutation(const ConnectionPtr& conn, const NetRequest& request);
 
   DistRouter* router_;
   RouterServerOptions options_;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
-
-  std::mutex conn_mu_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::weak_ptr<Connection>> connections_;
-  std::atomic<uint32_t> open_connections_{0};
-  std::atomic<bool> stopping_{false};
-
-  std::thread accept_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutdown_done_{false};
+  FrameServer front_;
 };
 
 }  // namespace gir

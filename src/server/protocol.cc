@@ -6,9 +6,12 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "core/dataset.h"
+#include "core/types.h"
 #include "io/checked_reader.h"
 
 namespace gir {
@@ -49,12 +52,12 @@ void AppendDoubles(std::string* out, const std::vector<double>& v) {
               v.size() * sizeof(double));
 }
 
-void AppendTopK(std::string* out, const ReverseTopKResult& result) {
+void AppendRow(std::string* out, const ReverseTopKResult& result) {
   Append<uint32_t>(out, static_cast<uint32_t>(result.size()));
   for (VectorId id : result) Append<uint32_t>(out, id);
 }
 
-void AppendKRanks(std::string* out, const ReverseKRanksResult& result) {
+void AppendRow(std::string* out, const ReverseKRanksResult& result) {
   Append<uint32_t>(out, static_cast<uint32_t>(result.size()));
   for (const RankedWeight& entry : result) {
     Append<uint32_t>(out, entry.weight_id);
@@ -72,6 +75,31 @@ bool IsQueryVerb(NetVerb verb) {
 bool IsBatchVerb(NetVerb verb) {
   return verb == NetVerb::kReverseTopKBatch ||
          verb == NetVerb::kReverseKRanksBatch;
+}
+
+/// A success header, or — with a coverage — a kDegraded header followed
+/// by the u32 shard count and u64 coverage bitmap.
+void AppendAnswerHeader(std::string* out, NetVerb verb, uint64_t request_id,
+                        uint64_t version, uint16_t flags,
+                        const NetCoverage* coverage) {
+  AppendResponseHeader(
+      out, verb, coverage != nullptr ? NetStatus::kDegraded : NetStatus::kOk,
+      request_id, version, flags);
+  if (coverage != nullptr) {
+    Append<uint32_t>(out, coverage->shard_count);
+    Append<uint64_t>(out, coverage->coverage);
+  }
+}
+
+template <typename Row>
+std::string EncodeAnswer(NetVerb verb, uint64_t request_id, uint64_t version,
+                         const Row* rows, size_t n, uint16_t flags,
+                         const NetCoverage* coverage) {
+  std::string body;
+  AppendAnswerHeader(&body, verb, request_id, version, flags, coverage);
+  if (IsBatchVerb(verb)) Append<uint32_t>(&body, static_cast<uint32_t>(n));
+  for (size_t i = 0; i < n; ++i) AppendRow(&body, rows[i]);
+  return body;
 }
 
 bool ReadTopK(CheckedReader& reader, ReverseTopKResult* result) {
@@ -186,54 +214,27 @@ std::string EncodeErrorResponseBody(NetVerb verb, NetStatus status,
 }
 
 std::string EncodeAckResponseBody(NetVerb verb, uint64_t request_id,
-                                  uint64_t version) {
+                                  uint64_t version,
+                                  const NetCoverage* coverage) {
   std::string body;
-  AppendResponseHeader(&body, verb, NetStatus::kOk, request_id, version);
+  AppendAnswerHeader(&body, verb, request_id, version, 0, coverage);
   return body;
 }
 
-std::string EncodeTopKResponseBody(uint64_t request_id, uint64_t version,
-                                   const ReverseTopKResult& result,
-                                   uint16_t flags) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseTopK, NetStatus::kOk,
-                       request_id, version, flags);
-  AppendTopK(&body, result);
-  return body;
+std::string EncodeTopKResponseBody(NetVerb verb, uint64_t request_id,
+                                   uint64_t version,
+                                   const ReverseTopKResult* rows, size_t n,
+                                   uint16_t flags,
+                                   const NetCoverage* coverage) {
+  return EncodeAnswer(verb, request_id, version, rows, n, flags, coverage);
 }
 
-std::string EncodeTopKBatchResponseBody(
-    uint64_t request_id, uint64_t version,
-    const std::vector<ReverseTopKResult>& results, uint16_t flags) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseTopKBatch, NetStatus::kOk,
-                       request_id, version, flags);
-  Append<uint32_t>(&body, static_cast<uint32_t>(results.size()));
-  for (const ReverseTopKResult& result : results) AppendTopK(&body, result);
-  return body;
-}
-
-std::string EncodeKRanksResponseBody(uint64_t request_id, uint64_t version,
-                                     const ReverseKRanksResult& result,
-                                     uint16_t flags) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseKRanks, NetStatus::kOk,
-                       request_id, version, flags);
-  AppendKRanks(&body, result);
-  return body;
-}
-
-std::string EncodeKRanksBatchResponseBody(
-    uint64_t request_id, uint64_t version,
-    const std::vector<ReverseKRanksResult>& results, uint16_t flags) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseKRanksBatch, NetStatus::kOk,
-                       request_id, version, flags);
-  Append<uint32_t>(&body, static_cast<uint32_t>(results.size()));
-  for (const ReverseKRanksResult& result : results) {
-    AppendKRanks(&body, result);
-  }
-  return body;
+std::string EncodeKRanksResponseBody(NetVerb verb, uint64_t request_id,
+                                     uint64_t version,
+                                     const ReverseKRanksResult* rows,
+                                     size_t n, uint16_t flags,
+                                     const NetCoverage* coverage) {
+  return EncodeAnswer(verb, request_id, version, rows, n, flags, coverage);
 }
 
 std::string EncodeInfoResponseBody(uint64_t request_id, uint64_t version,
@@ -257,87 +258,6 @@ std::string EncodeStatsResponseBody(uint64_t request_id, uint64_t version,
                        version);
   Append<uint32_t>(&body, static_cast<uint32_t>(text.size()));
   body.append(text);
-  return body;
-}
-
-std::string EncodeKRanksCappedResponseBody(uint64_t request_id,
-                                           uint64_t version,
-                                           const ReverseKRanksResult& result) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseKRanksCapped, NetStatus::kOk,
-                       request_id, version);
-  AppendKRanks(&body, result);
-  return body;
-}
-
-namespace {
-
-void AppendCoverage(std::string* out, uint32_t shard_count,
-                    uint64_t coverage) {
-  Append<uint32_t>(out, shard_count);
-  Append<uint64_t>(out, coverage);
-}
-
-}  // namespace
-
-std::string EncodeDegradedAckResponseBody(NetVerb verb, uint64_t request_id,
-                                          uint64_t version,
-                                          uint32_t shard_count,
-                                          uint64_t coverage) {
-  std::string body;
-  AppendResponseHeader(&body, verb, NetStatus::kDegraded, request_id,
-                       version);
-  AppendCoverage(&body, shard_count, coverage);
-  return body;
-}
-
-std::string EncodeDegradedTopKResponseBody(uint64_t request_id,
-                                           uint64_t version,
-                                           uint32_t shard_count,
-                                           uint64_t coverage,
-                                           const ReverseTopKResult& result) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseTopK, NetStatus::kDegraded,
-                       request_id, version);
-  AppendCoverage(&body, shard_count, coverage);
-  AppendTopK(&body, result);
-  return body;
-}
-
-std::string EncodeDegradedTopKBatchResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const std::vector<ReverseTopKResult>& results) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseTopKBatch,
-                       NetStatus::kDegraded, request_id, version);
-  AppendCoverage(&body, shard_count, coverage);
-  Append<uint32_t>(&body, static_cast<uint32_t>(results.size()));
-  for (const ReverseTopKResult& result : results) AppendTopK(&body, result);
-  return body;
-}
-
-std::string EncodeDegradedKRanksResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const ReverseKRanksResult& result, NetVerb verb) {
-  std::string body;
-  AppendResponseHeader(&body, verb, NetStatus::kDegraded, request_id,
-                       version);
-  AppendCoverage(&body, shard_count, coverage);
-  AppendKRanks(&body, result);
-  return body;
-}
-
-std::string EncodeDegradedKRanksBatchResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const std::vector<ReverseKRanksResult>& results) {
-  std::string body;
-  AppendResponseHeader(&body, NetVerb::kReverseKRanksBatch,
-                       NetStatus::kDegraded, request_id, version);
-  AppendCoverage(&body, shard_count, coverage);
-  Append<uint32_t>(&body, static_cast<uint32_t>(results.size()));
-  for (const ReverseKRanksResult& result : results) {
-    AppendKRanks(&body, result);
-  }
   return body;
 }
 
@@ -423,6 +343,49 @@ NetStatus DecodeRequestBody(const std::string& body, NetRequest* out,
     return NetStatus::kMalformed;
   }
   return NetStatus::kOk;
+}
+
+NetStatus CheckRequest(const NetRequest& request, size_t dim,
+                       std::string* error) {
+  switch (request.verb) {
+    case NetVerb::kReverseTopK:
+    case NetVerb::kReverseKRanks:
+    case NetVerb::kReverseKRanksCapped:
+    case NetVerb::kReverseTopKBatch:
+    case NetVerb::kReverseKRanksBatch:
+      if (request.k == 0) {
+        *error = "k must be positive";
+      } else if (request.num_queries == 0) {
+        *error = "empty query batch";
+      } else if (request.dim != dim) {
+        *error = "query dimension does not match the index";
+      } else if (!RowValuesValid(request.values)) {
+        *error = "query values must be finite and non-negative";
+      } else {
+        return NetStatus::kOk;
+      }
+      return NetStatus::kInvalidArgument;
+    case NetVerb::kInsertPoint:
+    case NetVerb::kInsertWeight:
+      if (request.dim == dim) return NetStatus::kOk;
+      *error = "row dimension does not match the index";
+      return NetStatus::kInvalidArgument;
+    case NetVerb::kDeletePoint:
+    case NetVerb::kDeleteWeight:
+      if (request.target_id <= std::numeric_limits<VectorId>::max()) {
+        return NetStatus::kOk;
+      }
+      *error = "id out of the VectorId range";
+      return NetStatus::kInvalidArgument;
+    default:
+      return NetStatus::kOk;
+  }
+}
+
+NetStatus NetStatusOf(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument
+             ? NetStatus::kInvalidArgument
+             : NetStatus::kInternal;
 }
 
 bool DecodeResponseBody(const std::string& body, NetResponse* out) {

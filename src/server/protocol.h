@@ -173,51 +173,40 @@ std::string EncodeRequestBody(const NetRequest& request);
 std::string EncodeErrorResponseBody(NetVerb verb, NetStatus status,
                                     uint64_t request_id, uint64_t version,
                                     const std::string& message);
+
+/// kDegraded answers (DESIGN.md §18) carry the router's shard coverage
+/// between the header and the verb's normal payload, which is then
+/// restricted to the covered shards.
+struct NetCoverage {
+  uint32_t shard_count = 0;
+  uint64_t coverage = 0;  ///< bit s set = shard s contributed / applied
+};
+
+/// Acks a mutation, PING or COMPACT. A non-null `coverage` makes it a
+/// kDegraded ack.
 std::string EncodeAckResponseBody(NetVerb verb, uint64_t request_id,
-                                  uint64_t version);
-std::string EncodeTopKResponseBody(uint64_t request_id, uint64_t version,
-                                   const ReverseTopKResult& result,
-                                   uint16_t flags = 0);
-std::string EncodeTopKBatchResponseBody(
-    uint64_t request_id, uint64_t version,
-    const std::vector<ReverseTopKResult>& results, uint16_t flags = 0);
-std::string EncodeKRanksResponseBody(uint64_t request_id, uint64_t version,
-                                     const ReverseKRanksResult& result,
-                                     uint16_t flags = 0);
-std::string EncodeKRanksBatchResponseBody(
-    uint64_t request_id, uint64_t version,
-    const std::vector<ReverseKRanksResult>& results, uint16_t flags = 0);
+                                  uint64_t version,
+                                  const NetCoverage* coverage = nullptr);
+
+/// The query answers, one encoder per family. `verb` is echoed: the
+/// single-row verbs (kReverseTopK, kReverseKRanks, kReverseKRanksCapped)
+/// carry rows[0] alone (n must be 1); the batch verbs carry a u32 row
+/// count, then the n rows. A non-null `coverage` makes it kDegraded.
+std::string EncodeTopKResponseBody(NetVerb verb, uint64_t request_id,
+                                   uint64_t version,
+                                   const ReverseTopKResult* rows, size_t n,
+                                   uint16_t flags = 0,
+                                   const NetCoverage* coverage = nullptr);
+std::string EncodeKRanksResponseBody(NetVerb verb, uint64_t request_id,
+                                     uint64_t version,
+                                     const ReverseKRanksResult* rows,
+                                     size_t n, uint16_t flags = 0,
+                                     const NetCoverage* coverage = nullptr);
+
 std::string EncodeInfoResponseBody(uint64_t request_id, uint64_t version,
                                    const NetInfo& info);
 std::string EncodeStatsResponseBody(uint64_t request_id, uint64_t version,
                                     const std::string& text);
-/// kReverseKRanksCapped success payload (the same wire shape as
-/// kReverseKRanks, echoed under its own verb).
-std::string EncodeKRanksCappedResponseBody(uint64_t request_id,
-                                           uint64_t version,
-                                           const ReverseKRanksResult& result);
-
-// kDegraded responses (DESIGN.md §18): header with status kDegraded, then
-// u32 shard_count + u64 coverage bitmap, then the verb's normal success
-// payload restricted to the covered shards.
-std::string EncodeDegradedAckResponseBody(NetVerb verb, uint64_t request_id,
-                                          uint64_t version,
-                                          uint32_t shard_count,
-                                          uint64_t coverage);
-std::string EncodeDegradedTopKResponseBody(uint64_t request_id,
-                                           uint64_t version,
-                                           uint32_t shard_count,
-                                           uint64_t coverage,
-                                           const ReverseTopKResult& result);
-std::string EncodeDegradedTopKBatchResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const std::vector<ReverseTopKResult>& results);
-std::string EncodeDegradedKRanksResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const ReverseKRanksResult& result, NetVerb verb);
-std::string EncodeDegradedKRanksBatchResponseBody(
-    uint64_t request_id, uint64_t version, uint32_t shard_count,
-    uint64_t coverage, const std::vector<ReverseKRanksResult>& results);
 
 // ---- Body decoding (CheckedReader underneath) --------------------------
 
@@ -226,6 +215,18 @@ std::string EncodeDegradedKRanksBatchResponseBody(
 /// validation (dimension match, k bounds) is the server's job.
 NetStatus DecodeRequestBody(const std::string& body, NetRequest* out,
                             std::string* error);
+
+/// The semantic check both servers run on every decoded request before
+/// dispatch: a query needs k > 0, at least one row of the index's `dim`
+/// and finite non-negative values; an insert needs a row of `dim`; a
+/// delete needs an id that fits a VectorId. Returns kOk, or
+/// kInvalidArgument with a one-line reason in `error`.
+NetStatus CheckRequest(const NetRequest& request, size_t dim,
+                       std::string* error);
+
+/// The wire status of a failed index or router call: kInvalidArgument
+/// for InvalidArgument, kInternal for anything else.
+NetStatus NetStatusOf(const Status& status);
 
 /// Decodes a response body (the client side). False on any structural
 /// violation.

@@ -1,12 +1,5 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <utility>
@@ -26,12 +19,16 @@ bool IsRkrVerb(NetVerb verb) {
 
 }  // namespace
 
-QueryServer::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
 QueryServer::QueryServer(ShardedGirIndex* index, ServerOptions options)
-    : index_(index), options_(std::move(options)), dim_(index->dim()) {
+    : index_(index),
+      options_(std::move(options)),
+      dim_(index->dim()),
+      front_(
+          dim_,
+          [this](const ConnectionPtr& conn, const NetRequest& request) {
+            Dispatch(conn, request);
+          },
+          [this] { return index_version(); }, &metrics_) {
   if (options_.max_batch == 0) options_.max_batch = 1;
 
   // One queue per registered QoS class plus the trailing default class
@@ -94,148 +91,39 @@ bool QueryServer::ConsumeTokensLocked(TenantQueue& tenant, uint32_t rows) {
 QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::Start() {
-  if (started_.exchange(true)) {
-    return Status::Internal("server already started");
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("unparseable host address: " +
-                                   options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError(std::string("bind: ") + strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    return Status::IOError(std::string("getsockname: ") + strerror(errno));
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 128) < 0) {
-    return Status::IOError(std::string("listen: ") + strerror(errno));
-  }
+  const Status s =
+      front_.Start(options_.host, options_.port, options_.max_connections);
+  if (!s.ok()) return s;
   scheduler_thread_ = std::thread(&QueryServer::SchedulerLoop, this);
-  accept_thread_ = std::thread(&QueryServer::AcceptLoop, this);
   return Status::OK();
 }
 
 void QueryServer::Shutdown() {
-  if (!started_.load() || shutdown_done_.exchange(true)) return;
-
-  // Stop admitting: connections racing in see kShuttingDown, and the
-  // scheduler switches to drain mode.
+  // Phase one: the front end refuses new queries and mutations and joins
+  // every reader, so nothing is admitted after it returns.
+  front_.Shutdown();
+  if (!scheduler_thread_.joinable()) return;
+  // Phase two: the scheduler executes and answers what was admitted,
+  // then exits on the empty queue.
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
-
-  // Unblock accept(); no new connections after this join.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Unblock every reader's recv(). Only the read side closes — queued
-  // requests still get their responses written during the drain.
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const std::weak_ptr<Connection>& weak : connections_) {
-      if (std::shared_ptr<Connection> conn = weak.lock()) {
-        ::shutdown(conn->fd, SHUT_RD);
-      }
-    }
-    readers.swap(reader_threads_);
-  }
-  for (std::thread& t : readers) {
-    if (t.joinable()) t.join();
-  }
-
-  // The scheduler exits once the queue is drained and every admitted
-  // request has been answered.
-  if (scheduler_thread_.joinable()) scheduler_thread_.join();
-
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.clear();
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  scheduler_thread_.join();
 }
 
-void QueryServer::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // shutdown(listen_fd_) during Shutdown() lands here.
-      return;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    metrics_.RecordAccepted();
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.push_back(conn);
-    reader_threads_.emplace_back(&QueryServer::ReaderLoop, this,
-                                 std::move(conn));
-  }
-}
-
-void QueryServer::ReaderLoop(std::shared_ptr<Connection> conn) {
-  if (ExpectMagic(conn->fd).ok()) {
-    std::string body;
-    for (;;) {
-      const Status s = ReadFrameBody(conn->fd, kMaxFrameBytes, &body);
-      if (!s.ok()) {
-        if (s.code() == StatusCode::kCorruption) {
-          // Oversized length prefix or a frame the peer never finished:
-          // answer once, then drop the connection.
-          metrics_.RecordMalformed();
-          SendError(conn, NetVerb::kPing, NetStatus::kMalformed, 0,
-                    s.message());
-        }
-        break;
-      }
-      metrics_.RecordRequest();
-      NetRequest request;
-      std::string error;
-      if (DecodeRequestBody(body, &request, &error) != NetStatus::kOk) {
-        metrics_.RecordMalformed();
-        SendError(conn, NetVerb::kPing, NetStatus::kMalformed,
-                  request.request_id, error);
-        break;
-      }
-      Dispatch(conn, request);
-    }
-  }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
+void QueryServer::Dispatch(const ConnectionPtr& conn,
                            const NetRequest& request) {
   switch (request.verb) {
     case NetVerb::kPing:
-      SendBody(conn, EncodeAckResponseBody(NetVerb::kPing, request.request_id,
-                                           index_version()));
+      conn->Send(EncodeAckResponseBody(NetVerb::kPing, request.request_id,
+                                       index_version()));
       return;
     case NetVerb::kStats:
-      SendBody(conn, EncodeStatsResponseBody(
-                         request.request_id, index_version(),
-                         metrics_.Render() + RenderShardStats()));
+      conn->Send(EncodeStatsResponseBody(request.request_id, index_version(),
+                                         metrics_.Render() +
+                                             RenderShardStats()));
       return;
     case NetVerb::kInfo: {
       NetInfo info;
@@ -252,8 +140,8 @@ void QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
       info.dirty = index_->dirty() ? 1 : 0;
       info.scan_mode =
           static_cast<uint8_t>(index_->options().dynamic.gir.scan_mode);
-      SendBody(conn, EncodeInfoResponseBody(request.request_id,
-                                            index_version(), info));
+      conn->Send(
+          EncodeInfoResponseBody(request.request_id, index_version(), info));
       return;
     }
     case NetVerb::kReverseTopK:
@@ -267,29 +155,13 @@ void QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
       // one blocking request in flight per shard connection, so there is
       // no co-batchable traffic to wait for, and bypassing the cache
       // keeps the version pinning exact.
-      if (request.k == 0) {
-        SendError(conn, request.verb, NetStatus::kInvalidArgument,
-                  request.request_id, "k must be positive");
-        return;
-      }
-      if (request.dim != dim_ || request.num_queries != 1) {
-        SendError(conn, request.verb, NetStatus::kInvalidArgument,
-                  request.request_id,
-                  "query dimension does not match the index");
-        return;
-      }
-      if (!RowValuesValid(request.values)) {
-        SendError(conn, request.verb, NetStatus::kInvalidArgument,
-                  request.request_id, "query contains NaN or infinity");
-        return;
-      }
       uint64_t seq = 0;
       const ReverseKRanksResult result = index_->ReverseKRanksCapped(
           ConstRow(request.values.data(), request.values.size()), request.k,
           request.rank_cap, nullptr, &seq);
       metrics_.RecordBatch(1, 1);
-      SendBody(conn, EncodeKRanksCappedResponseBody(request.request_id, seq,
-                                                    result));
+      conn->Send(EncodeKRanksResponseBody(request.verb, request.request_id,
+                                          seq, &result, 1));
       return;
     }
     case NetVerb::kInsertPoint:
@@ -302,37 +174,13 @@ void QueryServer::Dispatch(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void QueryServer::HandleMutation(const std::shared_ptr<Connection>& conn,
+void QueryServer::HandleMutation(const ConnectionPtr& conn,
                                  const NetRequest& request) {
-  if ((request.verb == NetVerb::kInsertPoint ||
-       request.verb == NetVerb::kInsertWeight) &&
-      request.dim != dim_) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id, "row dimension does not match the index");
-    return;
-  }
-  if ((request.verb == NetVerb::kDeletePoint ||
-       request.verb == NetVerb::kDeleteWeight) &&
-      request.target_id > std::numeric_limits<VectorId>::max()) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id, "id out of the VectorId range");
-    return;
-  }
   if (options_.read_only &&
       (request.req_flags & kNetReqFlagRouterWrite) == 0) {
-    SendError(conn, request.verb, NetStatus::kReadOnly, request.request_id,
-              "server is read-only; mutations must come through the router");
-    return;
-  }
-  bool rejected_shutdown;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    rejected_shutdown = stopping_;
-    if (rejected_shutdown) metrics_.RecordRejectedShutdown();
-  }
-  if (rejected_shutdown) {
-    SendError(conn, request.verb, NetStatus::kShuttingDown,
-              request.request_id, "server is draining");
+    front_.SendError(
+        conn, request.verb, NetStatus::kReadOnly, request.request_id,
+        "server is read-only; mutations must come through the router");
     return;
   }
 
@@ -379,11 +227,8 @@ void QueryServer::HandleMutation(const std::shared_ptr<Connection>& conn,
     if (cache_ != nullptr && s.code() != StatusCode::kInvalidArgument) {
       cache_->Flush();
     }
-    version = index_version();
-    const NetStatus net = s.code() == StatusCode::kInvalidArgument
-                              ? NetStatus::kInvalidArgument
-                              : NetStatus::kInternal;
-    SendError(conn, request.verb, net, request.request_id, s.message());
+    front_.SendError(conn, request.verb, NetStatusOf(s), request.request_id,
+                     s.message());
     return;
   }
   if (cache_ != nullptr) {
@@ -408,35 +253,11 @@ void QueryServer::HandleMutation(const std::shared_ptr<Connection>& conn,
   } else {
     metrics_.RecordMutation();
   }
-  SendBody(conn,
-           EncodeAckResponseBody(request.verb, request.request_id, version));
+  conn->Send(EncodeAckResponseBody(request.verb, request.request_id, version));
 }
 
-void QueryServer::AdmitQuery(const std::shared_ptr<Connection>& conn,
+void QueryServer::AdmitQuery(const ConnectionPtr& conn,
                              const NetRequest& request) {
-  if (request.k == 0) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id, "k must be positive");
-    return;
-  }
-  if (request.num_queries == 0) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id, "empty query batch");
-    return;
-  }
-  if (request.dim != dim_) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id,
-              "query dimension does not match the index");
-    return;
-  }
-  if (!RowValuesValid(request.values)) {
-    SendError(conn, request.verb, NetStatus::kInvalidArgument,
-              request.request_id,
-              "query values must be finite and non-negative");
-    return;
-  }
-
   // Cache probe before any QoS charge: a hit costs the server nothing, so
   // it neither consumes rate-limit tokens nor occupies queue space.
   if (cache_ != nullptr && TryServeFromCache(conn, request)) return;
@@ -464,21 +285,18 @@ void QueryServer::AdmitQuery(const std::shared_ptr<Connection>& conn,
   }
   group.is_rkr = IsRkrVerb(request.verb);
 
-  NetStatus admit = NetStatus::kOk;
-  bool rate_limited = false;
+  // Draining needs no check here: the front end refuses queries once
+  // Shutdown starts, and joins every reader before the scheduler drains.
+  const char* rejection = nullptr;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     TenantQueue& tenant = tenants_[slot];
-    if (stopping_) {
-      admit = NetStatus::kShuttingDown;
-      metrics_.RecordRejectedShutdown();
-    } else if (!ConsumeTokensLocked(tenant, group.num_queries)) {
-      admit = NetStatus::kOverloaded;
-      rate_limited = true;
+    if (!ConsumeTokensLocked(tenant, group.num_queries)) {
+      rejection = "tenant rate limited";
       metrics_.RecordRejectedOverload();
       metrics_.RecordTenantRateLimited(request.tenant_id);
     } else if (queued_queries_ + group.num_queries > options_.queue_limit) {
-      admit = NetStatus::kOverloaded;
+      rejection = "request queue is full";
       metrics_.RecordRejectedOverload();
     } else {
       queued_queries_ += group.num_queries;
@@ -489,18 +307,15 @@ void QueryServer::AdmitQuery(const std::shared_ptr<Connection>& conn,
       tenant.q.push_back(std::move(group));
     }
   }
-  if (admit == NetStatus::kOk) {
+  if (rejection == nullptr) {
     queue_cv_.notify_all();
   } else {
-    SendError(conn, request.verb, admit, request.request_id,
-              admit == NetStatus::kShuttingDown
-                  ? "server is draining"
-                  : (rate_limited ? "tenant rate limited"
-                                  : "request queue is full"));
+    front_.SendError(conn, request.verb, NetStatus::kOverloaded,
+                     request.request_id, rejection);
   }
 }
 
-bool QueryServer::TryServeFromCache(const std::shared_ptr<Connection>& conn,
+bool QueryServer::TryServeFromCache(const ConnectionPtr& conn,
                                     const NetRequest& request) {
   // One sequence snapshot covers the whole request: every row must hit
   // with a bracket containing it, so the response is exactly what a
@@ -522,25 +337,18 @@ bool QueryServer::TryServeFromCache(const std::shared_ptr<Connection>& conn,
       topk.push_back(std::move(one));
     }
   }
-  std::string body;
-  if (request.verb == NetVerb::kReverseTopK) {
-    body = EncodeTopKResponseBody(request.request_id, snap, topk[0],
-                                  kNetFlagCacheHit);
-  } else if (request.verb == NetVerb::kReverseTopKBatch) {
-    body = EncodeTopKBatchResponseBody(request.request_id, snap, topk,
-                                       kNetFlagCacheHit);
-  } else if (request.verb == NetVerb::kReverseKRanks) {
-    body = EncodeKRanksResponseBody(request.request_id, snap, kranks[0],
-                                    kNetFlagCacheHit);
-  } else {
-    body = EncodeKRanksBatchResponseBody(request.request_id, snap, kranks,
-                                         kNetFlagCacheHit);
-  }
+  const std::string body =
+      is_rkr ? EncodeKRanksResponseBody(request.verb, request.request_id, snap,
+                                        kranks.data(), kranks.size(),
+                                        kNetFlagCacheHit)
+             : EncodeTopKResponseBody(request.verb, request.request_id, snap,
+                                      topk.data(), topk.size(),
+                                      kNetFlagCacheHit);
   // Count before sending: a client that pipelines STATS right behind
   // its answered request must already see this request in the counters.
   metrics_.RecordCacheServed(1, request.num_queries);
   metrics_.RecordTenantServed(request.tenant_id, request.num_queries);
-  SendBody(conn, body);
+  conn->Send(body);
   return true;
 }
 
@@ -673,8 +481,8 @@ void QueryServer::ExecuteBatch(bool is_rkr, uint32_t k,
   for (PendingGroup& group : batch) {
     if (group.has_deadline && group.deadline < start) {
       metrics_.RecordDeadlineExpired();
-      SendError(group.conn, group.verb, NetStatus::kDeadlineExceeded,
-                group.request_id, "deadline expired before execution");
+      front_.SendError(group.conn, group.verb, NetStatus::kDeadlineExceeded,
+                       group.request_id, "deadline expired before execution");
     } else {
       live.push_back(std::move(group));
     }
@@ -723,33 +531,26 @@ void QueryServer::ExecuteBatch(bool is_rkr, uint32_t k,
     }
   }
 
+  // Count before sending, as the cache path does: a client that reads
+  // STATS right after its answer must already see its request counted.
+  metrics_.RecordBatch(live.size(), total);
   size_t offset = 0;
   for (const PendingGroup& group : live) {
-    std::string body;
-    if (group.verb == NetVerb::kReverseTopK) {
-      body = EncodeTopKResponseBody(group.request_id, version, topk[offset]);
-    } else if (group.verb == NetVerb::kReverseTopKBatch) {
-      std::vector<ReverseTopKResult> slice(
-          topk.begin() + offset, topk.begin() + offset + group.num_queries);
-      body = EncodeTopKBatchResponseBody(group.request_id, version, slice);
-    } else if (group.verb == NetVerb::kReverseKRanks) {
-      body =
-          EncodeKRanksResponseBody(group.request_id, version, kranks[offset]);
-    } else {
-      std::vector<ReverseKRanksResult> slice(
-          kranks.begin() + offset,
-          kranks.begin() + offset + group.num_queries);
-      body = EncodeKRanksBatchResponseBody(group.request_id, version, slice);
-    }
+    const std::string body =
+        is_rkr ? EncodeKRanksResponseBody(group.verb, group.request_id,
+                                          version, kranks.data() + offset,
+                                          group.num_queries)
+               : EncodeTopKResponseBody(group.verb, group.request_id, version,
+                                        topk.data() + offset,
+                                        group.num_queries);
     offset += group.num_queries;
-    SendBody(group.conn, body);
     metrics_.RecordTenantServed(group.tenant_id, group.num_queries);
+    group.conn->Send(body);
     metrics_.RecordLatencyUs(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                               group.enqueue_time)
             .count()));
   }
-  metrics_.RecordBatch(live.size(), total);
 }
 
 std::string QueryServer::RenderShardStats() const {
@@ -797,21 +598,6 @@ std::string QueryServer::RenderShardStats() const {
     wrow("snapshot_seq", ws.snapshot_sequence);
   }
   return out;
-}
-
-void QueryServer::SendBody(const std::shared_ptr<Connection>& conn,
-                           const std::string& body) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  // A peer that already hung up is not an error worth reporting; the
-  // reader loop notices independently.
-  (void)SendFrame(conn->fd, body);
-}
-
-void QueryServer::SendError(const std::shared_ptr<Connection>& conn,
-                            NetVerb verb, NetStatus status,
-                            uint64_t request_id, const std::string& message) {
-  SendBody(conn, EncodeErrorResponseBody(verb, status, request_id,
-                                         index_version(), message));
 }
 
 Status WritePortFileAtomic(const std::string& path, uint16_t port) {

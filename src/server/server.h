@@ -1,7 +1,6 @@
 #ifndef GIR_SERVER_SERVER_H_
 #define GIR_SERVER_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -14,6 +13,7 @@
 
 #include "core/status.h"
 #include "grid/sharded_index.h"
+#include "server/frame_server.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
 #include "server/result_cache.h"
@@ -82,10 +82,11 @@ struct ServerOptions {
 /// QueryServer — a multi-threaded TCP front end over one ShardedGirIndex
 /// speaking GIRNET01 (server/protocol.h).
 ///
-/// Thread model. One accept thread; one reader thread per connection; one
-/// scheduler thread; plus the sharded router's per-shard workers. Readers
-/// parse and validate frames, then either answer inline (ping/info/stats
-/// and all mutations) or enqueue query requests for the scheduler. The
+/// Thread model. The shared GIRNET01 front end (server/frame_server.h):
+/// one accept thread and one reader thread per connection, which decode
+/// and check frames; plus one scheduler thread and the sharded router's
+/// per-shard workers. Readers answer ping/info/stats and all mutations
+/// inline and enqueue query requests for the scheduler. The
 /// scheduler coalesces compatible pending requests — same query family
 /// and k — into a single ReverseTopKBatch/ReverseKRanksBatch sweep. It is
 /// work-conserving: whenever it is free it dispatches whatever compatible
@@ -106,9 +107,11 @@ struct ServerOptions {
 /// version must reproduce the response bit-for-bit (the concurrency
 /// tests do exactly that).
 ///
-/// Shutdown() drains gracefully: new requests are refused with
-/// kShuttingDown, already-admitted requests are executed and answered,
-/// then threads are joined. Safe to call twice; the destructor calls it.
+/// Shutdown() drains gracefully: new queries and mutations are refused
+/// with kShuttingDown (ping/info/stats are still answered), the readers
+/// are joined, then already-admitted requests are executed and answered
+/// and the scheduler is joined. Safe to call twice; the destructor calls
+/// it.
 class QueryServer {
  public:
   /// The index must outlive the server. The server assumes exclusive
@@ -124,7 +127,7 @@ class QueryServer {
   Status Start();
 
   /// The bound TCP port (after Start(); useful with options.port == 0).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
   /// Graceful drain; blocks until all threads are joined. Idempotent.
   void Shutdown();
@@ -138,20 +141,10 @@ class QueryServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Shared between the reader thread and the scheduler (which answers
-  /// queued requests after the reader may have exited). The fd closes
-  /// when the last reference drops.
-  struct Connection {
-    explicit Connection(int fd_in) : fd(fd_in) {}
-    ~Connection();
-    int fd;
-    std::mutex write_mu;
-  };
-
   /// One admitted query request (single or wire-batch form) awaiting the
   /// scheduler. `values` holds num_queries rows of dim doubles.
   struct PendingGroup {
-    std::shared_ptr<Connection> conn;
+    ConnectionPtr conn;
     NetVerb verb = NetVerb::kReverseTopK;
     uint64_t request_id = 0;
     uint32_t k = 0;
@@ -180,19 +173,14 @@ class QueryServer {
     Clock::time_point last_refill;
   };
 
-  void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<Connection> conn);
   void SchedulerLoop();
 
-  /// Routes one decoded, well-formed request.
-  void Dispatch(const std::shared_ptr<Connection>& conn,
-                const NetRequest& request);
-  void HandleMutation(const std::shared_ptr<Connection>& conn,
-                      const NetRequest& request);
-  /// Validates and admits a query request; replies immediately on
-  /// rejection (invalid, overloaded, shutting down).
-  void AdmitQuery(const std::shared_ptr<Connection>& conn,
-                  const NetRequest& request);
+  /// Routes one decoded, checked request (the front end's handler).
+  void Dispatch(const ConnectionPtr& conn, const NetRequest& request);
+  void HandleMutation(const ConnectionPtr& conn, const NetRequest& request);
+  /// Admits a query request; replies immediately on rejection
+  /// (overloaded, rate limited).
+  void AdmitQuery(const ConnectionPtr& conn, const NetRequest& request);
 
   /// Executes one micro-batch outside the queue lock: drops expired
   /// groups, runs the batched sweep under the shared index lock, slices
@@ -201,7 +189,7 @@ class QueryServer {
 
   /// Tries to serve a validated query request from the result cache at
   /// one sequence snapshot (all rows must hit). True = response sent.
-  bool TryServeFromCache(const std::shared_ptr<Connection>& conn,
+  bool TryServeFromCache(const ConnectionPtr& conn,
                          const NetRequest& request);
 
   /// Index of the tenant class for a request id (the trailing default
@@ -211,12 +199,6 @@ class QueryServer {
   /// Token-bucket admission for `rows` query rows. REQUIRES queue_mu_.
   /// False = the class is over its rate; the caller rejects kOverloaded.
   bool ConsumeTokensLocked(TenantQueue& tenant, uint32_t rows);
-
-  void SendBody(const std::shared_ptr<Connection>& conn,
-                const std::string& body);
-  void SendError(const std::shared_ptr<Connection>& conn, NetVerb verb,
-                 NetStatus status, uint64_t request_id,
-                 const std::string& message);
 
   /// Pending query rows compatible with the (is_rkr, k) batch key.
   size_t MatchingQueriesLocked(bool is_rkr, uint32_t k) const;
@@ -229,8 +211,6 @@ class QueryServer {
   ShardedGirIndex* index_;
   ServerOptions options_;
   size_t dim_ = 0;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -247,18 +227,11 @@ class QueryServer {
   bool stopping_ = false;
 
   std::unique_ptr<ResultCache> cache_;
-
-  std::mutex conn_mu_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::weak_ptr<Connection>> connections_;
-  std::atomic<uint32_t> open_connections_{0};
-
-  std::thread accept_thread_;
-  std::thread scheduler_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutdown_done_{false};
-
   ServerMetrics metrics_;
+  std::thread scheduler_thread_;
+  /// Declared last: destroyed first, so no reader outlives the state its
+  /// handler touches.
+  FrameServer front_;
 };
 
 /// Writes `port` (decimal, newline-terminated) to `path` atomically:

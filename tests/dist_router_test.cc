@@ -405,5 +405,27 @@ TEST_F(DistRouterTest, KilledShardDegradesWithAccurateCoverage) {
   EXPECT_EQ(client.last_coverage(), 1u);
 }
 
+/// A delete id that does not fit a VectorId is rejected at the router's
+/// front end, as gir_serve rejects it, instead of being truncated to a
+/// 32-bit id that names some other live row.
+TEST_F(DistRouterTest, OutOfRangeDeleteIdIsRejectedThroughTheRouter) {
+  StartCluster(2);
+  if (HasFatalFailure() || HasFailure()) return;
+  RemoteClient client = ConnectRouter();
+  if (HasFailure()) return;
+
+  const Status point = client.DeletePoint(uint64_t{1} << 32);
+  EXPECT_EQ(point.code(), StatusCode::kInvalidArgument) << point.ToString();
+  EXPECT_EQ(client.last_net_status(), NetStatus::kInvalidArgument);
+  const Status weight = client.DeleteWeight(uint64_t{1} << 32);
+  EXPECT_EQ(weight.code(), StatusCode::kInvalidArgument) << weight.ToString();
+
+  auto info = client.Info();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().live_points, points_.size());
+  EXPECT_EQ(info.value().live_weights, weights_.size());
+  EXPECT_EQ(client.last_index_version(), 0u);
+}
+
 }  // namespace
 }  // namespace gir

@@ -1094,6 +1094,47 @@ TEST(QueryServerTest, TenantDeadlineClassAppliesWhenRequestCarriesNone) {
   EXPECT_EQ(retry.value(), index->ReverseTopK(points.row(0), 4));
 }
 
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+uint64_t VmSizeKib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + sizeof("VmSize:") - 1, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+TEST(QueryServerTest, ShortConnectionsDoNotAccumulateReaderStacks) {
+  // A reader thread that exits but is never joined keeps its whole stack
+  // (8 MiB by default) mapped, so without reaping 200 short connections
+  // grow the address space by ~1.7 GB. The front end joins finished
+  // readers on each accept.
+  const Dataset points = MakePoints(100, 3, 37);
+  const Dataset weights = MakeWeights(20, 3, 38);
+  auto index = BuildIndex(points, weights);
+  QueryServer server(index.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    RemoteClient warm = MustConnect(server);
+    ASSERT_TRUE(warm.Ping().ok());
+  }
+
+  const uint64_t before = VmSizeKib();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) {
+    RemoteClient client = MustConnect(server);
+    ASSERT_TRUE(client.Ping().ok()) << "connection " << i;
+  }
+  const uint64_t after = VmSizeKib();
+  const uint64_t growth_kib = after > before ? after - before : 0;
+  EXPECT_LT(growth_kib, uint64_t{256} << 10)
+      << "VmSize " << before << " -> " << after << " KiB";
+  RemoteClient client = MustConnect(server);
+  EXPECT_TRUE(client.Ping().ok());
+}
+
 // ---- RemoteClient failure paths against a hostile peer ---------------------
 
 /// Minimal loopback peer that accepts one connection, consumes the

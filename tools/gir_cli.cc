@@ -76,65 +76,10 @@
 #include "grid/sharded_index.h"
 #include "io/dataset_io.h"
 #include "server/client.h"
+#include "tool_util.h"
 
 namespace gir {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        error_ = "unexpected argument: " + key;
-        return;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  std::optional<std::string> Get(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::optional<size_t> GetSize(const std::string& key) const {
-    auto v = Get(key);
-    if (!v.has_value()) return std::nullopt;
-    return static_cast<size_t>(std::strtoull(v->c_str(), nullptr, 10));
-  }
-
-  std::optional<double> GetDouble(const std::string& key) const {
-    auto v = Get(key);
-    if (!v.has_value()) return std::nullopt;
-    return std::strtod(v->c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
-int Fail(const char* message) {
-  std::fprintf(stderr, "error: %s\n", message);
-  return 1;
-}
-
-int FailStatus(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 2;
-}
 
 void PrintUsage();
 
@@ -599,7 +544,7 @@ int RunTau(int argc, char** argv) {
   const std::string action = argv[2];
   // Shift by one so Args' fixed "--flags start at index 2" skips the
   // action word.
-  Args args(argc - 1, argv + 1);
+  Args args(argc, argv, 3);
   if (!args.ok()) return Fail(args.error().c_str());
   if (action == "build") return RunTauBuild(args);
   if (action == "query") return RunTauQuery(args);
@@ -749,7 +694,7 @@ int RunUpdate(int argc, char** argv) {
   const std::string action = argv[2];
   // Shift by one so Args' fixed "--flags start at index 2" skips the
   // action word.
-  Args args(argc - 1, argv + 1);
+  Args args(argc, argv, 3);
   if (!args.ok()) return Fail(args.error().c_str());
   if (action == "init") return RunUpdateInit(args);
   if (action == "insert" || action == "delete" || action == "compact") {
@@ -887,7 +832,7 @@ int RunShard(int argc, char** argv) {
   const std::string action = argv[2];
   // Shift by one so Args' fixed "--flags start at index 2" skips the
   // action word.
-  Args args(argc - 1, argv + 1);
+  Args args(argc, argv, 3);
   if (!args.ok()) return Fail(args.error().c_str());
   if (action == "init") return RunShardInit(args);
   if (action == "info") return RunShardInfo(args);
@@ -1042,7 +987,7 @@ int RunRemote(int argc, char** argv) {
   const std::string action = argv[2];
   // Shift by one so Args' fixed "--flags start at index 2" skips the
   // action word.
-  Args args(argc - 1, argv + 1);
+  Args args(argc, argv, 3);
   if (!args.ok()) return Fail(args.error().c_str());
   if (action != "ping" && action != "info" && action != "stats" &&
       action != "query" && action != "insert" && action != "delete" &&
@@ -1124,7 +1069,7 @@ int Run(int argc, char** argv) {
   if (command == "update") return RunUpdate(argc, argv);
   if (command == "shard") return RunShard(argc, argv);
   if (command == "remote") return RunRemote(argc, argv);
-  Args args(argc, argv);
+  Args args(argc, argv, 2);
   if (!args.ok()) return Fail(args.error().c_str());
   if (command == "generate") return RunGenerate(args);
   if (command == "build-index") return RunBuildIndex(args);

@@ -31,85 +31,25 @@
 // (including any shard unreachable at boot — degraded mode is for
 // failures after a healthy start, not for booting blind).
 
-#include <signal.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "dist/router_core.h"
 #include "dist/router_server.h"
 #include "grid/index_io.h"
 #include "server/server.h"
+#include "tool_util.h"
 
 namespace gir {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        error_ = "unexpected argument: " + key;
-        return;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  std::optional<std::string> Get(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  std::optional<size_t> GetSize(const std::string& key) const {
-    auto v = Get(key);
-    if (!v.has_value()) return std::nullopt;
-    return static_cast<size_t>(std::strtoull(v->c_str(), nullptr, 10));
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
-int Fail(const char* message) {
-  std::fprintf(stderr, "error: %s\n", message);
-  return 1;
-}
-
-int FailStatus(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 2;
-}
 
 int Run(int argc, char** argv) {
   Args args(argc, argv);
   if (!args.ok()) return Fail(args.error().c_str());
 
-  // Same signal discipline as gir_serve: block before any thread spawns
-  // so the main thread alone takes SIGTERM/SIGINT via sigwait and the
-  // drain runs in ordinary code.
   sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGTERM);
-  sigaddset(&mask, SIGINT);
-  if (pthread_sigmask(SIG_BLOCK, &mask, nullptr) != 0) {
-    return FailStatus(Status::Internal("pthread_sigmask failed"));
-  }
+  const Status blocked = BlockDrainSignals(&mask);
+  if (!blocked.ok()) return FailStatus(blocked);
 
   const auto index_path = args.Get("index");
   const auto shards_spec = args.Get("shards");
@@ -185,10 +125,7 @@ int Run(int argc, char** argv) {
     if (!written.ok()) return FailStatus(written);
   }
 
-  int sig = 0;
-  sigwait(&mask, &sig);
-  std::printf("received %s, draining\n",
-              sig == SIGTERM ? "SIGTERM" : "SIGINT");
+  std::printf("received %s, draining\n", WaitForDrainSignal(mask));
   std::fflush(stdout);
   server.Shutdown();
   router.Shutdown();

@@ -47,14 +47,10 @@
 //
 // Exit code 0 on clean drain, 1 on usage errors, 2 on runtime failures.
 
-#include <signal.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -68,72 +64,18 @@
 #include "io/dataset_io.h"
 #include "io/wal.h"
 #include "server/server.h"
+#include "tool_util.h"
 
 namespace gir {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        error_ = "unexpected argument: " + key;
-        return;
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
-      }
-    }
-  }
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  std::optional<std::string> Get(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  std::optional<size_t> GetSize(const std::string& key) const {
-    auto v = Get(key);
-    if (!v.has_value()) return std::nullopt;
-    return static_cast<size_t>(std::strtoull(v->c_str(), nullptr, 10));
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
-int Fail(const char* message) {
-  std::fprintf(stderr, "error: %s\n", message);
-  return 1;
-}
-
-int FailStatus(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 2;
-}
 
 int Run(int argc, char** argv) {
   Args args(argc, argv);
   if (!args.ok()) return Fail(args.error().c_str());
 
-  // SIGTERM/SIGINT are blocked before any thread spawns so every server
-  // thread inherits the mask and the main thread alone takes the signal
-  // via sigwait — the drain runs in ordinary code, not a handler.
   sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGTERM);
-  sigaddset(&mask, SIGINT);
-  if (pthread_sigmask(SIG_BLOCK, &mask, nullptr) != 0) {
-    return FailStatus(Status::Internal("pthread_sigmask failed"));
-  }
+  const Status blocked = BlockDrainSignals(&mask);
+  if (!blocked.ok()) return FailStatus(blocked);
 
   const auto wal_dir = args.Get("wal-dir");
   FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
@@ -360,10 +302,7 @@ int Run(int argc, char** argv) {
     });
   }
 
-  int sig = 0;
-  sigwait(&mask, &sig);
-  std::printf("received %s, draining\n",
-              sig == SIGTERM ? "SIGTERM" : "SIGINT");
+  std::printf("received %s, draining\n", WaitForDrainSignal(mask));
   std::fflush(stdout);
   if (checkpointer.joinable()) {
     stop_checkpointer.store(true, std::memory_order_release);
