@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -88,57 +89,17 @@ constexpr uint64_t kProbeSeed = 1184;
   std::exit(2);
 }
 
-std::vector<double> RandomPoint(std::mt19937_64& rng, size_t d) {
-  std::uniform_real_distribution<double> value(0.0, 10000.0);
-  std::vector<double> row(d);
-  for (double& v : row) v = value(rng);
-  return row;
-}
-
-void ExpectRkrEq(const ReverseKRanksResult& got,
-                 const ReverseKRanksResult& want, const char* where) {
-  if (got.size() != want.size()) Bail(std::string(where) + ": size diverged");
-  for (size_t i = 0; i < want.size(); ++i) {
-    if (got[i].weight_id != want[i].weight_id ||
-        got[i].rank != want[i].rank) {
-      Bail(std::string(where) + ": entry " + std::to_string(i) +
-           " diverged");
-    }
-  }
-}
-
-/// The exact phase's seeded point-churn script. With `client` set, each
-/// op goes through the router (acks checked, never degraded) AND the
-/// oracle; with `client` null it replays onto the oracle alone — how the
-/// degraded phase reconstructs the cluster's state in a fresh process.
-void RunChurnScript(RemoteClient* client, DynamicGirIndex& oracle,
-                    const Config& cfg) {
-  std::mt19937_64 rng(kChurnSeed);
-  size_t live_points = oracle.live_point_count();
-  for (size_t i = 0; i < cfg.churn_ops; ++i) {
-    const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-    if (dice < 60 || live_points < 100) {
-      const std::vector<double> row = RandomPoint(rng, cfg.d);
-      if (client != nullptr) {
-        const Status s = client->InsertPoint(ConstRow(row.data(), cfg.d));
-        if (!s.ok()) Bail("insert point: " + s.ToString());
-        if (client->last_degraded()) Bail("healthy insert acked degraded");
-      }
-      if (!oracle.InsertPoint(ConstRow(row.data(), cfg.d)).ok()) {
-        Bail("oracle insert diverged");
-      }
-      ++live_points;
-    } else {
-      const uint64_t id = rng() % live_points;
-      if (client != nullptr) {
-        const Status s = client->DeletePoint(id);
-        if (!s.ok()) Bail("delete point: " + s.ToString());
-        if (client->last_degraded()) Bail("healthy delete acked degraded");
-      }
-      if (!oracle.DeletePoint(id).ok()) Bail("oracle delete diverged");
-      --live_points;
-    }
-  }
+/// The exact phase's seeded point-churn script: point inserts, and point
+/// deletes while at least 100 points are live. The exact phase checks
+/// every op through the router against the oracle; the degraded phase
+/// replays it onto the oracle alone to reconstruct the cluster's state
+/// in a fresh process.
+OpStream ChurnScript(const Config& cfg) {
+  return OpStream(kChurnSeed, {.dim = cfg.d,
+                               .mix = {.insert_point = 60, .delete_point = 40},
+                               .live_points = cfg.n,
+                               .live_weights = cfg.m,
+                               .min_live_points = 99});
 }
 
 RemoteClient ConnectRouter(uint16_t port) {
@@ -168,24 +129,27 @@ void RunExactPhase(uint16_t port, const Dataset& points,
   auto oracle = DynamicGirIndex::Build(points, weights, oracle_options);
   if (!oracle.ok()) Bail("oracle build failed");
 
-  const double churn_ms = bench::TimeMs(
-      [&] { RunChurnScript(&client, oracle.value(), cfg); });
+  // Every ack and answer must match the oracle and never be degraded.
+  RemoteTarget target(client);
+  OracleChecker checker(oracle.value(), target, kChurnSeed);
+  OpStream churn = ChurnScript(cfg);
+  const double churn_ms = bench::TimeMs([&] {
+    for (size_t i = 0; i < cfg.churn_ops; ++i) {
+      const Status s = checker.Step(churn.Next());
+      if (!s.ok()) Bail("exact churn: " + s.ToString());
+    }
+  });
 
   const Dataset probes = GeneratePoints(PointDistribution::kUniform,
                                         cfg.queries, cfg.d, kProbeSeed);
   const double query_ms = bench::TimeMs([&] {
     for (size_t q = 0; q < probes.size(); ++q) {
-      const uint32_t k = 1 + static_cast<uint32_t>(q % 10);
-      auto rtk = client.ReverseTopK(probes.row(q), k);
-      if (!rtk.ok()) Bail("rtk: " + rtk.status().ToString());
-      if (client.last_degraded()) Bail("healthy rtk answered degraded");
-      if (rtk.value() != oracle.value().ReverseTopK(probes.row(q), k)) {
-        Bail("rtk diverged at probe " + std::to_string(q));
+      const size_t k = 1 + q % 10;
+      for (const OpKind kind : {OpKind::kRtk, OpKind::kRkr}) {
+        const Status s = checker.Step(QueryOp(kind, probes.row(q), k));
+        if (!s.ok()) Bail("exact probe " + std::to_string(q) + ": " +
+                          s.ToString());
       }
-      auto rkr = client.ReverseKRanks(probes.row(q), k);
-      if (!rkr.ok()) Bail("rkr: " + rkr.status().ToString());
-      ExpectRkrEq(rkr.value(), oracle.value().ReverseKRanks(probes.row(q), k),
-                  "exact rkr");
     }
   });
 
@@ -215,7 +179,12 @@ void RunDegradedPhase(uint16_t port, const Dataset& points,
   auto oracle = DynamicGirIndex::Build(points, weights, oracle_options);
   if (!oracle.ok()) Bail("oracle build failed");
   // Reconstruct the cluster's post-exact-phase state locally.
-  RunChurnScript(nullptr, oracle.value(), cfg);
+  OpStream churn = ChurnScript(cfg);
+  for (size_t i = 0; i < cfg.churn_ops; ++i) {
+    if (!ApplyOp(oracle.value(), churn.Next()).status.ok()) {
+      Bail("oracle churn replay failed");
+    }
+  }
 
   const uint64_t want_coverage = uint64_t{1} << (1 - dead);
   const uint32_t live = 1 - dead;
@@ -254,14 +223,16 @@ void RunDegradedPhase(uint16_t port, const Dataset& points,
           want_rkr.push_back(entry);
         }
       }
-      ExpectRkrEq(rkr.value(), want_rkr, "degraded rkr");
+      if (rkr.value() != want_rkr) {
+        Bail("degraded rkr diverged at probe " + std::to_string(q));
+      }
     }
   });
 
   // Mutation accounting. Point-only exact churn left the round-robin
   // cursor at m (even), so weight-insert owners alternate 0, 1, ...
   std::mt19937_64 rng(kProbeSeed + 2);
-  const std::vector<double> p = RandomPoint(rng, cfg.d);
+  const std::vector<double> p = RandomPointRow(rng, cfg.d);
   Status s = client.InsertPoint(ConstRow(p.data(), cfg.d));
   if (!s.ok()) Bail("degraded insert point: " + s.ToString());
   if (!client.last_degraded() || client.last_coverage() != want_coverage) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench_util/op_stream.h"
 #include "data/rng.h"
 #include "grid/dynamic_index.h"
 
@@ -44,48 +45,25 @@ double Qps(size_t queries, double ms) {
   return ms > 0.0 ? 1000.0 * static_cast<double>(queries) / ms : 0.0;
 }
 
-/// Rebuild-from-scratch oracle over the live sets; owns its datasets
-/// (GirIndex keeps pointers into them).
-struct Oracle {
-  std::unique_ptr<Dataset> points;
-  std::unique_ptr<Dataset> weights;
-  std::unique_ptr<GirIndex> index;
-};
-
-Oracle RebuildOracle(const DynamicGirIndex& dyn) {
-  Oracle o;
-  o.points = std::make_unique<Dataset>(dyn.LivePoints());
-  o.weights = std::make_unique<Dataset>(dyn.LiveWeights());
-  auto built = GirIndex::Build(*o.points, *o.weights, dyn.options().gir);
-  if (!built.ok()) {
-    std::fprintf(stderr, "FATAL: oracle rebuild failed: %s\n",
-                 built.status().ToString().c_str());
-    std::abort();
-  }
-  o.index = std::make_unique<GirIndex>(std::move(built).value());
-  return o;
-}
-
 /// Aborts unless every query answers bit-identically to the rebuilt
 /// oracle on both query types.
 void RequireMatchesRebuild(const DynamicGirIndex& dyn, const Dataset& queries,
                            size_t k, const char* where) {
-  const Oracle oracle = RebuildOracle(dyn);
+  const Result<RebuiltIndex> oracle = RebuildOracle(dyn);
+  if (!oracle.ok()) {
+    std::fprintf(stderr, "FATAL: oracle rebuild failed: %s\n",
+                 oracle.status().ToString().c_str());
+    std::abort();
+  }
+  const GirIndex& rebuilt = *oracle.value().index;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ConstRow q = queries.row(qi);
-    if (dyn.ReverseTopK(q, k) != oracle.index->ReverseTopK(q, k)) {
+    if (dyn.ReverseTopK(q, k) != rebuilt.ReverseTopK(q, k)) {
       std::fprintf(stderr, "FATAL: RTK mismatch vs rebuild at %s (q=%zu)\n",
                    where, qi);
       std::abort();
     }
-    const auto dyn_rkr = dyn.ReverseKRanks(q, k);
-    const auto oracle_rkr = oracle.index->ReverseKRanks(q, k);
-    bool same = dyn_rkr.size() == oracle_rkr.size();
-    for (size_t j = 0; same && j < dyn_rkr.size(); ++j) {
-      same = dyn_rkr[j].weight_id == oracle_rkr[j].weight_id &&
-             dyn_rkr[j].rank == oracle_rkr[j].rank;
-    }
-    if (!same) {
+    if (dyn.ReverseKRanks(q, k) != rebuilt.ReverseKRanks(q, k)) {
       std::fprintf(stderr, "FATAL: RKR mismatch vs rebuild at %s (q=%zu)\n",
                    where, qi);
       std::abort();

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench_util/op_stream.h"
 #include "grid/dynamic_index.h"
 #include "grid/sharded_index.h"
 #include "server/client.h"
@@ -118,16 +119,6 @@ size_t ParseMetric(const std::string& text, const std::string& key) {
   return 0;
 }
 
-bool SameRanks(const ReverseKRanksResult& a, const ReverseKRanksResult& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].weight_id != b[i].weight_id || a[i].rank != b[i].rank) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ShardedIndexOptions ServingOptions() {
   ShardedIndexOptions options;
   options.shards = 1;
@@ -161,77 +152,56 @@ void RunLockstep(const Dataset& points, const Dataset& weights,
   if (!shadow_built.ok()) Fatal("build: " + shadow_built.status().ToString());
   DynamicGirIndex shadow = std::move(shadow_built).value();
 
-  const Dataset extra = GenerateUniform(config.pool, config.d, 9100);
+  // The stream draws each op's kind, delete id and k. Queries then take a
+  // zipf-drawn row of P, so hits recur, and half the point inserts take
+  // the far point, so brackets extend, instead of the drawn row. Deletes
+  // only remove points beyond the base count.
+  OpStream stream(9000, {.dim = config.d,
+                         .mix = {.insert_point = 10, .delete_point = 5,
+                                 .compact = 5, .rtk = 40, .rkr = 40},
+                         .live_points = points.size(),
+                         .live_weights = weights.size(),
+                         .min_live_points = points.size(),
+                         .max_k = k});
   const std::vector<double> far = FarPoint(config.d);
   const ZipfSampler zipf(config.pool, 0.99);
-  std::mt19937_64 rng(9000);
-  size_t live = points.size();
+  std::mt19937_64 rng(9100);
+  RemoteTarget target(client);
+  OracleChecker checker(shadow, target, stream.seed());
   uint64_t version = 0;
-  size_t checked = 0;
   size_t hits = 0;
-  for (size_t op = 0; op < config.lockstep_ops; ++op) {
-    const uint32_t dice = static_cast<uint32_t>(rng() % 20);
-    if (dice == 0) {
-      ConstRow row = extra.row(rng() % extra.size());
-      if (!client.InsertPoint(row).ok()) Fatal("insert failed");
-      shadow.InsertPoint(row);
-      ++live;
-      ++version;
-    } else if (dice == 1) {
-      ConstRow row(far.data(), far.size());
-      if (!client.InsertPoint(row).ok()) Fatal("insert failed");
-      shadow.InsertPoint(row);
-      ++live;
-      ++version;
-    } else if (dice == 2 && live > points.size()) {
-      const uint64_t id = rng() % live;
-      if (!client.DeletePoint(id).ok()) Fatal("delete failed");
-      shadow.DeletePoint(id);
-      --live;
-      ++version;
-    } else if (dice == 3) {
-      if (!client.Compact().ok()) Fatal("compact failed");
-      shadow.Compact();
-      ++version;
-    } else {
-      const size_t row = zipf.Sample(rng);
-      const uint32_t qk = 1 + static_cast<uint32_t>(rng() % k);
-      ConstRow q = points.row(row);
-      if (rng() % 2 == 0) {
-        auto got = client.ReverseTopK(q, qk);
-        if (!got.ok()) Fatal("rtk: " + got.status().ToString());
-        if (got.value() != shadow.ReverseTopK(q, qk)) {
-          Fatal("lockstep RTK answer differs from shadow at op " +
-                std::to_string(op));
-        }
-      } else {
-        auto got = client.ReverseKRanks(q, qk);
-        if (!got.ok()) Fatal("rkr: " + got.status().ToString());
-        if (!SameRanks(got.value(), shadow.ReverseKRanks(q, qk))) {
-          Fatal("lockstep RKR answer differs from shadow at op " +
-                std::to_string(op));
-        }
-      }
-      if (client.last_index_version() != version) {
-        Fatal("lockstep version diverged at op " + std::to_string(op));
-      }
-      ++checked;
-      hits += client.last_cache_hit() ? 1 : 0;
+  for (size_t i = 0; i < config.lockstep_ops; ++i) {
+    Op op = stream.Next();
+    if (IsQuery(op.kind)) {
+      const ConstRow q = points.row(zipf.Sample(rng));
+      op.row.assign(q.begin(), q.end());
+    } else if (op.kind == OpKind::kInsertPoint && rng() % 2 == 0) {
+      op.row = far;
     }
+    const Status s = checker.Step(op);
+    if (!s.ok()) Fatal("lockstep: " + s.ToString());
+    if (!IsQuery(op.kind)) {
+      ++version;
+      continue;
+    }
+    if (client.last_index_version() != version) {
+      Fatal("lockstep version diverged at op " + std::to_string(i));
+    }
+    hits += client.last_cache_hit() ? 1 : 0;
   }
   const std::string stats = server.metrics().Render();
   server.Shutdown();
   json.Emit(bench::JsonRecord("result_cache", scale)
                 .Add("arm", "lockstep")
                 .Add("ops", config.lockstep_ops)
-                .Add("queries_checked", checked)
+                .Add("queries_checked", checker.queries())
                 .Add("client_hits", hits)
                 .Add("cache_hits", ParseMetric(stats, "cache_hits"))
                 .Add("cache_invalidations",
                      ParseMetric(stats, "cache_invalidations"))
                 .Add("cache_extensions",
                      ParseMetric(stats, "cache_extensions")));
-  if (checked == 0) Fatal("lockstep phase checked nothing");
+  if (checker.queries() == 0) Fatal("lockstep phase checked nothing");
 }
 
 struct ArmResult {
@@ -266,7 +236,7 @@ ArmResult RunTimedArm(const char* arm, ShardedGirIndex* index,
       }
       auto got_rkr = client.ReverseKRanks(pool.row(row), k);
       if (!got_rkr.ok()) Fatal("warm-up rkr: " + got_rkr.status().ToString());
-      if (!SameRanks(got_rkr.value(), rkr[row])) {
+      if (got_rkr.value() != rkr[row]) {
         Fatal("warm-up RKR answer differs from pool truth");
       }
     }
@@ -306,7 +276,7 @@ ArmResult RunTimedArm(const char* arm, ShardedGirIndex* index,
           if (use_rkr) {
             auto got = client.ReverseKRanks(pool.row(row), k);
             if (!got.ok()) Fatal("rkr: " + got.status().ToString());
-            if (!SameRanks(got.value(), rkr[row])) {
+            if (got.value() != rkr[row]) {
               Fatal("timed-arm RKR answer differs from pool truth");
             }
           } else {

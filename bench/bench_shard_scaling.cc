@@ -8,7 +8,7 @@
 // (a multi-core host additionally overlaps the per-shard workers).
 //
 // Correctness comes first: before any timing, a merge oracle replays a
-// randomized 1000-op mutate/query stream against routers with 1, 2 and
+// seeded 1000-op mutate/query stream against routers with 1, 2 and
 // 4 shards and a plain DynamicGirIndex, and every answer must be
 // bit-identical. After each timed arm, probe queries across shard counts
 // must also agree bit-for-bit. Any mismatch aborts with a nonzero exit —
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "grid/dynamic_index.h"
+#include "bench_util/op_stream.h"
 #include "grid/sharded_index.h"
 
 namespace gir {
@@ -41,123 +41,25 @@ namespace {
   std::abort();
 }
 
-std::vector<double> RandomPointRow(std::mt19937_64& rng, size_t d) {
-  std::uniform_real_distribution<double> value(0.0, 10000.0);
-  std::vector<double> row(d);
-  for (double& v : row) v = value(rng);
-  return row;
-}
-
-std::vector<double> RandomWeightRow(std::mt19937_64& rng, size_t d) {
-  std::uniform_real_distribution<double> value(0.05, 1.0);
-  std::vector<double> row(d);
-  double sum = 0.0;
-  for (double& v : row) {
-    v = value(rng);
-    sum += v;
-  }
-  for (double& v : row) v /= sum;
-  return row;
-}
-
-void ExpectSameRkr(const ReverseKRanksResult& got,
-                   const ReverseKRanksResult& want, const char* where) {
-  bool same = got.size() == want.size();
-  for (size_t i = 0; same && i < want.size(); ++i) {
-    same = got[i].weight_id == want[i].weight_id &&
-           got[i].rank == want[i].rank;
-  }
-  if (!same) Fatal(std::string("RKR answers diverge: ") + where);
-}
-
 // ---- Phase 1: merge oracle --------------------------------------------------
 
-/// Replays one randomized stream against a single DynamicGirIndex and a
-/// sharded router in lockstep; every query must be bit-identical and
-/// every mutation must agree on success. Aborts on the first divergence.
+/// Replays one seeded stream against a single DynamicGirIndex and a
+/// sharded router in lockstep (the merge oracle sharded_index_test runs);
+/// every query must be bit-identical and every mutation must agree on
+/// success. Aborts on the first divergence.
 void RunOracle(size_t shards, size_t num_ops, uint64_t seed) {
-  const size_t kDim = 4;
-  const Dataset points =
-      GeneratePoints(PointDistribution::kUniform, 120, kDim, seed);
-  const Dataset weights =
-      GenerateWeights(WeightDistribution::kUniform, 160, kDim, seed + 1);
-  DynamicIndexOptions dyn;
-  dyn.gir.scan_mode = ScanMode::kBlocked;
-  auto single_r = DynamicGirIndex::Build(points, weights, dyn);
-  if (!single_r.ok()) Fatal("oracle build: " + single_r.status().ToString());
-  DynamicGirIndex single = std::move(single_r).value();
-  ShardedIndexOptions opts;
-  opts.shards = shards;
-  opts.dynamic = dyn;
-  auto sharded_r = ShardedGirIndex::Build(points, weights, opts);
-  if (!sharded_r.ok()) {
-    Fatal("oracle build: " + sharded_r.status().ToString());
-  }
-  ShardedGirIndex& sharded = *sharded_r.value();
-
-  std::mt19937_64 rng(seed + 2);
-  size_t live_points = points.size();
-  size_t live_weights = weights.size();
-  for (size_t op = 0; op < num_ops; ++op) {
-    const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-    if (dice < 15) {
-      const std::vector<double> row = RandomPointRow(rng, kDim);
-      const ConstRow r(row.data(), row.size());
-      if (single.InsertPoint(r).ok() != sharded.InsertPoint(r).ok()) {
-        Fatal("oracle: InsertPoint status diverged");
-      }
-      ++live_points;
-    } else if (dice < 25 && live_points > 40) {
-      const VectorId id = static_cast<VectorId>(rng() % live_points);
-      if (single.DeletePoint(id).ok() != sharded.DeletePoint(id).ok()) {
-        Fatal("oracle: DeletePoint status diverged");
-      }
-      --live_points;
-    } else if (dice < 55) {
-      const std::vector<double> row = RandomWeightRow(rng, kDim);
-      const ConstRow r(row.data(), row.size());
-      if (single.InsertWeight(r).ok() != sharded.InsertWeight(r).ok()) {
-        Fatal("oracle: InsertWeight status diverged");
-      }
-      ++live_weights;
-    } else if (dice < 72 && live_weights > 30) {
-      const VectorId id = static_cast<VectorId>(rng() % live_weights);
-      if (single.DeleteWeight(id).ok() != sharded.DeleteWeight(id).ok()) {
-        Fatal("oracle: DeleteWeight status diverged");
-      }
-      --live_weights;
-    } else if (dice < 87) {
-      const std::vector<double> q = RandomPointRow(rng, kDim);
-      const size_t k = 1 + rng() % 8;
-      const ConstRow row(q.data(), q.size());
-      if (sharded.ReverseTopK(row, k) != single.ReverseTopK(row, k)) {
-        Fatal("oracle: RTK answers diverge");
-      }
-    } else {
-      const std::vector<double> q = RandomPointRow(rng, kDim);
-      const size_t k = 1 + rng() % 8;
-      const ConstRow row(q.data(), q.size());
-      ExpectSameRkr(sharded.ReverseKRanks(row, k), single.ReverseKRanks(row, k),
-                    "oracle");
-    }
-  }
-  if (single.live_weight_count() != sharded.live_weight_count() ||
-      single.live_point_count() != sharded.live_point_count()) {
-    Fatal("oracle: live counts diverge");
-  }
+  ShardedIndexOptions options;
+  options.shards = shards;
+  options.dynamic.gir.scan_mode = ScanMode::kBlocked;
+  const Status s = CheckShardedMerge(options, num_ops, seed);
+  if (!s.ok()) Fatal("merge oracle: " + s.ToString());
 }
 
 // ---- Phase 2: writer-heavy scaling arm --------------------------------------
 
-struct Op {
-  enum Kind { kInsertWeight, kDeleteWeight } kind = kInsertWeight;
-  std::vector<double> row;  // insert payload
-  VectorId id = 0;          // delete target
-};
-
 /// One fixed writer-heavy stream, fully materialized so every shard count
 /// replays byte-identical operations. Delete targets are drawn against
-/// the deterministically tracked live count, so every op succeeds.
+/// the tracked live count, so every op succeeds.
 ///
 /// The timed stream is mutations only. A reverse query sweep does the
 /// same total work at every shard count (each shard scans its own slice
@@ -168,25 +70,13 @@ struct Op {
 /// are equality-gated across shard counts — just not timed here.
 std::vector<Op> MakeStream(size_t num_ops, size_t initial_weights, size_t d,
                            uint64_t seed) {
-  std::vector<Op> stream;
-  stream.reserve(num_ops);
-  std::mt19937_64 rng(seed);
-  size_t live = initial_weights;
-  for (size_t i = 0; i < num_ops; ++i) {
-    Op op;
-    const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-    if (dice < 90) {
-      op.kind = Op::kInsertWeight;
-      op.row = RandomWeightRow(rng, d);
-      ++live;
-    } else {
-      op.kind = Op::kDeleteWeight;
-      op.id = static_cast<VectorId>(rng() % live);
-      --live;
-    }
-    stream.push_back(std::move(op));
-  }
-  return stream;
+  OpStream stream(seed, {.dim = d,
+                         .mix = {.insert_weight = 90, .delete_weight = 10},
+                         .live_weights = initial_weights});
+  std::vector<Op> ops;
+  ops.reserve(num_ops);
+  for (size_t i = 0; i < num_ops; ++i) ops.push_back(stream.Next());
+  return ops;
 }
 
 struct ArmResult {
@@ -211,21 +101,11 @@ ArmResult RunArm(size_t shards, const Dataset& points, const Dataset& weights,
   size_t mutations = 0;
   result.elapsed_ms = bench::TimeMs([&] {
     for (const Op& op : stream) {
-      switch (op.kind) {
-        case Op::kInsertWeight: {
-          const Status st =
-              index.InsertWeight(ConstRow(op.row.data(), op.row.size()));
-          if (!st.ok()) Fatal("insert: " + st.ToString());
-          ++mutations;
-          break;
-        }
-        case Op::kDeleteWeight: {
-          const Status st = index.DeleteWeight(op.id);
-          if (!st.ok()) Fatal("delete: " + st.ToString());
-          ++mutations;
-          break;
-        }
+      const Status st = ApplyOp(index, op).status;
+      if (!st.ok()) {
+        Fatal(std::string(OpKindName(op.kind)) + ": " + st.ToString());
       }
+      ++mutations;
     }
     index.Quiesce();
   });
@@ -351,9 +231,8 @@ int Run(int argc, char** argv) {
     arms.push_back(RunArm(shards, points, weights, stream, probes, scale,
                           json));
     if (!arms.empty() && arms.size() > 1) {
-      for (size_t p = 0; p < arms[0].probes.size(); ++p) {
-        ExpectSameRkr(arms.back().probes[p], arms[0].probes[p],
-                      "post-stream probe");
+      if (arms.back().probes != arms[0].probes) {
+        Fatal("RKR answers diverge: post-stream probe");
       }
     }
   }

@@ -22,13 +22,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "bench/bench_common.h"
+#include "bench_util/op_stream.h"
 #include "grid/dynamic_index.h"
 #include "grid/index_io.h"
 #include "grid/sharded_index.h"
@@ -57,45 +57,37 @@ Config ConfigFor(BenchScale scale) {
   }
 }
 
+[[noreturn]] void Fail(const std::string& why) {
+  std::fprintf(stderr, "%s\n", why.c_str());
+  std::exit(2);
+}
+
 std::unique_ptr<ShardedGirIndex> BuildRouter(const Dataset& points,
                                              const Dataset& weights) {
   ShardedIndexOptions options;
   options.shards = 2;
   options.background_compact = true;
   auto index = ShardedGirIndex::Build(points, weights, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "build failed: %s\n",
-                 index.status().ToString().c_str());
-    std::exit(2);
-  }
+  if (!index.ok()) Fail("build failed: " + index.status().ToString());
   return std::move(index).value();
 }
 
 /// The seeded mutation script every arm replays: point-heavy churn with
 /// enough deletes to keep the background compactor busy.
-double RunChurn(ShardedGirIndex& index, size_t ops, uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> value(0.0, 10000.0);
-  const size_t d = index.dim();
-  const double ms = bench::TimeMs([&] {
+double RunChurn(ShardedGirIndex& index, const Config& cfg, size_t ops) {
+  OpStream churn(73, {.dim = cfg.d,
+                      .mix = {.insert_point = 55, .delete_point = 35,
+                              .insert_weight = 10},
+                      .live_points = cfg.n,
+                      .live_weights = cfg.m,
+                      .min_live_points = 99});
+  return bench::TimeMs([&] {
     for (size_t i = 0; i < ops; ++i) {
-      const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-      std::vector<double> row(d);
-      for (double& v : row) v = value(rng);
-      if (dice < 55 || index.live_point_count() < 100) {
-        (void)index.InsertPoint(ConstRow(row.data(), d));
-      } else if (dice < 90) {
-        (void)index.DeletePoint(rng() % index.live_point_count());
-      } else {
-        double sum = 0.0;
-        for (double& v : row) sum += v;
-        for (double& v : row) v /= sum;
-        (void)index.InsertWeight(ConstRow(row.data(), d));
-      }
+      const Status s = ApplyOp(index, churn.Next()).status;
+      if (!s.ok()) Fail("churn: " + s.ToString());
     }
     index.WaitBackgroundIdle();
   });
-  return ms;
 }
 
 void AttachFreshWal(ShardedGirIndex& index, const std::string& dir,
@@ -151,57 +143,38 @@ int Main(int argc, char** argv) {
   // Arm 1: no WAL.
   {
     auto index = BuildRouter(points, weights);
-    const double ms = RunChurn(*index, cfg.ops, 73);
+    const double ms = RunChurn(*index, cfg, cfg.ops);
     std::printf("no-wal      %8zu ops  %9.1f ms  %9.0f ops/s\n", cfg.ops, ms,
                 cfg.ops / (ms / 1000.0));
     EmitArm(json, scale, "no-wal", cfg.ops, ms, *index);
   }
 
   // Arm 2: WAL, kernel-buffered appends.
-  double replay_source_ms = 0.0;
   {
     auto index = BuildRouter(points, weights);
     AttachFreshWal(*index, (root / "wal-never").string(),
                    FsyncPolicy::kNever);
-    const double ms = RunChurn(*index, cfg.ops, 73);
-    replay_source_ms = ms;
+    const double ms = RunChurn(*index, cfg, cfg.ops);
     std::printf("wal-never   %8zu ops  %9.1f ms  %9.0f ops/s\n", cfg.ops, ms,
                 cfg.ops / (ms / 1000.0));
     EmitArm(json, scale, "wal-never", cfg.ops, ms, *index);
 
     // Cold replay of that log: the recovery path a crashed server runs.
     auto merged = ReadWalDir((root / "wal-never").string());
-    if (!merged.ok()) {
-      std::fprintf(stderr, "wal read failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 2;
-    }
+    if (!merged.ok()) Fail("wal read failed: " + merged.status().ToString());
     auto recovered = BuildRouter(points, weights);
     const double replay_ms = bench::TimeMs([&] {
       const Status replayed =
           recovered->ReplayWal(merged.value().records);
-      if (!replayed.ok()) {
-        std::fprintf(stderr, "replay failed: %s\n",
-                     replayed.ToString().c_str());
-        std::exit(2);
-      }
+      if (!replayed.ok()) Fail("replay failed: " + replayed.ToString());
     });
     // Bit-identity gate before pricing the replay.
     const Dataset probes =
         GeneratePoints(PointDistribution::kUniform, 16, cfg.d, 74);
     for (size_t q = 0; q < probes.size(); ++q) {
-      const ReverseKRanksResult a = index->ReverseKRanks(probes.row(q), 10);
-      const ReverseKRanksResult b =
-          recovered->ReverseKRanks(probes.row(q), 10);
-      if (a.size() != b.size()) {
-        std::fprintf(stderr, "replay diverged at probe %zu\n", q);
-        return 2;
-      }
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].weight_id != b[i].weight_id || a[i].rank != b[i].rank) {
-          std::fprintf(stderr, "replay diverged at probe %zu #%zu\n", q, i);
-          return 2;
-        }
+      if (index->ReverseKRanks(probes.row(q), 10) !=
+          recovered->ReverseKRanks(probes.row(q), 10)) {
+        Fail("replay diverged at probe " + std::to_string(q));
       }
     }
     const size_t records = merged.value().records.size();
@@ -220,7 +193,7 @@ int Main(int argc, char** argv) {
     auto index = BuildRouter(points, weights);
     AttachFreshWal(*index, (root / "wal-always").string(),
                    FsyncPolicy::kAlways);
-    const double ms = RunChurn(*index, cfg.fsync_ops, 73);
+    const double ms = RunChurn(*index, cfg, cfg.fsync_ops);
     std::printf("wal-always  %8zu ops  %9.1f ms  %9.0f ops/s\n",
                 cfg.fsync_ops, ms, cfg.fsync_ops / (ms / 1000.0));
     EmitArm(json, scale, "wal-always", cfg.fsync_ops, ms, *index);
@@ -246,7 +219,6 @@ int Main(int argc, char** argv) {
                   .Add("arm", "checkpoint")
                   .Add("sequence", static_cast<size_t>(index->sequence()))
                   .Add("wall_ms", checkpoint_ms));
-    (void)replay_source_ms;
   }
 
   std::filesystem::remove_all(root);

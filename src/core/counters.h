@@ -19,7 +19,14 @@ struct QueryStats {
   uint64_t inner_products = 0;
   /// Scalar multiplications executed (d per inner product).
   uint64_t multiplications = 0;
-  /// Grid-index bound evaluations (each costs d table-lookup additions).
+  /// Grid-index bound evaluations (each costs d table-lookup additions):
+  /// one per (point, weight) bound the engine computed, two where the
+  /// lower and upper bound are accumulated separately. The per-point
+  /// engines skip Domin-buffered points before computing bounds; the
+  /// blocked engine accumulates a streamed block's bounds for every point
+  /// in it, dominated or not, once per (block, weight) however many
+  /// queries share the block, so there it is points_streamed times 1
+  /// (uniform-FMA bounds) or 2 on every entry point.
   uint64_t bound_evaluations = 0;
   /// Points visited during scans (approximate or exact).
   uint64_t points_visited = 0;

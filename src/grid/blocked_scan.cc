@@ -337,7 +337,7 @@ void BlockedScanner::RankPrepared(ConstRow q, const QueryContext& qctx,
           scratch.band.data(), &band_count);
       c.dominated += cls.skipped;
       c.visited += bp - cls.skipped;
-      c.bound_evals += (bp - cls.skipped) * (uniform_fma_ ? 1 : 2);
+      c.bound_evals += bp * (uniform_fma_ ? 1 : 2);
       c.filtered += cls.case1 + cls.case2;
 
       // Case-3 band: refine with the exact score, so the rank is exact.

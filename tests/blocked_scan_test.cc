@@ -189,6 +189,46 @@ TEST(BlockedScannerTest, RanksMatchGInTopKUnderAnyThreshold) {
   }
 }
 
+// bound_evaluations follows one rule on every blocked entry point
+// (core/counters.h): the single-query path and a one-row query block do
+// the same work, so they report the same ranks and the same counters —
+// including when the Domin buffer skips points inside streamed blocks.
+TEST(BlockedScannerTest, SingleQueryAndOneRowBlockReportTheSameCounters) {
+  Workload wl = MakeWorkload(600, 40, 4, 41);
+  const size_t m = wl.weights.size();
+  // Dominated by every point below it in all four dimensions (~40%).
+  const std::vector<double> q(4, 8000.0);
+  for (BoundMode mode : {BoundMode::kUpperFirst, BoundMode::kFused,
+                         BoundMode::kExactWeight}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    GirOptions opts;
+    opts.bound_mode = mode;
+    auto index = GirIndex::Build(wl.points, wl.weights, opts).value();
+    BlockedScanner scanner(wl.points, index.point_cells(), wl.weights,
+                           index.weight_cells(), index.grid(), mode);
+    const auto qctx = scanner.MakeQueryContext(q, true);
+    ASSERT_GT(qctx.dominator_count, 0);
+    const int64_t cap = static_cast<int64_t>(wl.points.size()) + 1;
+    for (int64_t threshold : {qctx.dominator_count + 20, cap}) {
+      std::vector<int64_t> thresholds(m, threshold);
+      std::vector<int64_t> single(m), multi(m);
+      BlockedScratch scratch;
+      QueryStats single_stats, multi_stats;
+      scanner.RankBatch(q, qctx, 0, m, thresholds.data(), single.data(),
+                        scratch, &single_stats);
+      scanner.PrepareBatch(0, m, scratch);
+      const ConstRow rows[] = {ConstRow(q)};
+      scanner.RankPreparedMulti(rows, &qctx, 1, 0, m, thresholds.data(),
+                                multi.data(), scratch, &multi_stats);
+      EXPECT_EQ(single, multi) << "threshold " << threshold;
+      EXPECT_EQ(single_stats.ToString(), multi_stats.ToString())
+          << "threshold " << threshold;
+      EXPECT_GT(single_stats.points_dominated, 0u);
+      EXPECT_GT(single_stats.bound_evaluations, 0u);
+    }
+  }
+}
+
 TEST(BlockedScannerTest, DominatorContextFindsExactDominators) {
   Workload wl = MakeWorkload(250, 4, 5, 31);
   GirOptions opts;

@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -179,42 +180,6 @@ class CrashRecoveryTest : public ::testing::Test {
   uint16_t port_ = 0;
 };
 
-std::vector<double> RandomRow(std::mt19937_64& rng, bool weight) {
-  std::uniform_real_distribution<double> value(weight ? 0.05 : 0.0,
-                                               weight ? 1.0 : 10000.0);
-  std::vector<double> row(kDim);
-  double sum = 0.0;
-  for (double& v : row) {
-    v = value(rng);
-    sum += v;
-  }
-  if (weight) {
-    for (double& v : row) v /= sum;
-  }
-  return row;
-}
-
-void ExpectServerMatchesOracle(RemoteClient& client,
-                               const DynamicGirIndex& oracle,
-                               const Dataset& probes, const char* where) {
-  auto info = client.Info();
-  ASSERT_TRUE(info.ok()) << where << ": " << info.status().ToString();
-  EXPECT_EQ(info.value().live_points, oracle.live_point_count()) << where;
-  EXPECT_EQ(info.value().live_weights, oracle.live_weight_count()) << where;
-  for (size_t q = 0; q < probes.size(); ++q) {
-    auto got = client.ReverseKRanks(probes.row(q), 5);
-    ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
-    const ReverseKRanksResult want = oracle.ReverseKRanks(probes.row(q), 5);
-    ASSERT_EQ(got.value().size(), want.size()) << where << " probe " << q;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got.value()[i].weight_id, want[i].weight_id)
-          << where << " probe " << q << " #" << i;
-      EXPECT_EQ(got.value()[i].rank, want[i].rank)
-          << where << " probe " << q << " #" << i;
-    }
-  }
-}
-
 /// SIGKILL between acknowledged mutations, repeatedly, with checkpoints
 /// racing the kills. With fsync always and an idle client, durable ==
 /// acked, so the restarted server must be bit-identical to an oracle fed
@@ -226,9 +191,20 @@ TEST_F(CrashRecoveryTest, KillBetweenAcksRecoversBitIdentically) {
   const Dataset probes =
       GeneratePoints(PointDistribution::kUniform, 8, kDim, 309);
 
-  std::mt19937_64 rng(310);
-  size_t live_points = points_.size();
-  size_t live_weights = weights_.size();
+  OpStream stream(310, {.dim = kDim,
+                        .mix = {.insert_point = 35, .delete_point = 20,
+                                .insert_weight = 25, .delete_weight = 20},
+                        .live_points = points_.size(),
+                        .live_weights = weights_.size(),
+                        .min_live_points = 20,
+                        .min_live_weights = 20});
+  // The live counts and the RKR probes, after every boot and before
+  // every kill.
+  const auto matches_oracle = [&](OracleChecker& checker) {
+    Status s = checker.CheckLive();
+    if (s.ok()) s = checker.CheckQueries(OpKind::kRkr, probes, 5);
+    return s;
+  };
   for (int cycle = 0; cycle < 3; ++cycle) {
     SCOPED_TRACE("cycle " + std::to_string(cycle));
     // An aggressive checkpoint cadence so later cycles recover from a
@@ -236,38 +212,14 @@ TEST_F(CrashRecoveryTest, KillBetweenAcksRecoversBitIdentically) {
     StartServer({"--checkpoint-ops", "25"});
     if (HasFatalFailure()) return;
     RemoteClient client = Connect();
+    RemoteTarget target(client);
+    OracleChecker checker(oracle.value(), target, stream.seed());
 
-    ExpectServerMatchesOracle(client, oracle.value(), probes, "post-boot");
-    if (HasFatalFailure()) return;
-
-    for (int op = 0; op < 40; ++op) {
-      const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-      if (dice < 35) {
-        const std::vector<double> row = RandomRow(rng, /*weight=*/false);
-        ASSERT_TRUE(client.InsertPoint(ConstRow(row.data(), kDim)).ok());
-        ASSERT_TRUE(
-            oracle.value().InsertPoint(ConstRow(row.data(), kDim)).ok());
-        ++live_points;
-      } else if (dice < 55 && live_points > 20) {
-        const uint64_t id = rng() % live_points;
-        ASSERT_TRUE(client.DeletePoint(id).ok());
-        ASSERT_TRUE(oracle.value().DeletePoint(id).ok());
-        --live_points;
-      } else if (dice < 80) {
-        const std::vector<double> row = RandomRow(rng, /*weight=*/true);
-        ASSERT_TRUE(client.InsertWeight(ConstRow(row.data(), kDim)).ok());
-        ASSERT_TRUE(
-            oracle.value().InsertWeight(ConstRow(row.data(), kDim)).ok());
-        ++live_weights;
-      } else if (live_weights > 20) {
-        const uint64_t id = rng() % live_weights;
-        ASSERT_TRUE(client.DeleteWeight(id).ok());
-        ASSERT_TRUE(oracle.value().DeleteWeight(id).ok());
-        --live_weights;
-      }
-    }
-    ExpectServerMatchesOracle(client, oracle.value(), probes, "pre-kill");
-    if (HasFatalFailure()) return;
+    Status s = matches_oracle(checker);
+    ASSERT_TRUE(s.ok()) << "post-boot: " << s.ToString();
+    for (int op = 0; op < 40 && s.ok(); ++op) s = checker.Step(stream.Next());
+    if (s.ok()) s = matches_oracle(checker);
+    ASSERT_TRUE(s.ok()) << "pre-kill: " << s.ToString();
     KillServer();
   }
 
@@ -276,7 +228,10 @@ TEST_F(CrashRecoveryTest, KillBetweenAcksRecoversBitIdentically) {
   StartServer({"--checkpoint-ops", "25"});
   if (HasFatalFailure()) return;
   RemoteClient client = Connect();
-  ExpectServerMatchesOracle(client, oracle.value(), probes, "final-boot");
+  RemoteTarget target(client);
+  OracleChecker checker(oracle.value(), target, stream.seed());
+  const Status s = matches_oracle(checker);
+  EXPECT_TRUE(s.ok()) << "final-boot: " << s.ToString();
 }
 
 /// SIGKILL at arbitrary moments while a writer hammers mutations — the
@@ -298,19 +253,14 @@ TEST_F(CrashRecoveryTest, KillMidChurnRecoversTheDurableHistory) {
     std::thread writer([this, &acked, cycle] {
       auto client = RemoteClient::Connect("127.0.0.1", port_);
       if (!client.ok()) return;
-      std::mt19937_64 rng(400 + cycle);
-      size_t inserted = 0;  // ids in [0, inserted) stay safely deletable
+      // The stream starts at zero live points and counts only this
+      // writer's own inserts, so its delete ids stay safely in range.
+      OpStream stream(400 + cycle, {.dim = kDim,
+                                    .mix = {.insert_point = 60,
+                                            .delete_point = 40}});
+      RemoteTarget target(client.value());
       while (true) {
-        const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-        Status s;
-        if (dice < 60 || inserted == 0) {
-          const std::vector<double> row = RandomRow(rng, /*weight=*/false);
-          s = client.value().InsertPoint(ConstRow(row.data(), kDim));
-          if (s.ok()) ++inserted;
-        } else {
-          s = client.value().DeletePoint(rng() % inserted);
-          if (s.ok()) --inserted;
-        }
+        const Status s = target.Apply(stream.Next()).status;
         if (s.ok()) {
           acked.fetch_add(1, std::memory_order_relaxed);
         } else if (s.code() == StatusCode::kIOError ||
@@ -366,15 +316,8 @@ TEST_F(CrashRecoveryTest, KillMidChurnRecoversTheDurableHistory) {
     for (size_t q = 0; q < probes.size(); ++q) {
       auto got = client.ReverseKRanks(probes.row(q), 5);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const ReverseKRanksResult want =
-          oracle.value()->ReverseKRanks(probes.row(q), 5);
-      ASSERT_EQ(got.value().size(), want.size()) << "probe " << q;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.value()[i].weight_id, want[i].weight_id)
-            << "probe " << q << " #" << i;
-        EXPECT_EQ(got.value()[i].rank, want[i].rank)
-            << "probe " << q << " #" << i;
-      }
+      EXPECT_EQ(got.value(), oracle.value()->ReverseKRanks(probes.row(q), 5))
+          << "probe " << q;
     }
     EXPECT_NE(ReadLog().find("wal: recovered to seq"), std::string::npos);
     KillServer();
@@ -391,7 +334,9 @@ TEST_F(CrashRecoveryTest, CleanShutdownCheckpointsAndRebootsFromSnapshot) {
     RemoteClient client = Connect();
     std::mt19937_64 rng(501);
     for (int op = 0; op < 20; ++op) {
-      const std::vector<double> row = RandomRow(rng, op % 2 == 0);
+      const std::vector<double> row = op % 2 == 0
+                                          ? RandomWeightRow(rng, kDim)
+                                          : RandomPointRow(rng, kDim);
       ASSERT_TRUE((op % 2 == 0
                        ? client.InsertWeight(ConstRow(row.data(), kDim))
                        : client.InsertPoint(ConstRow(row.data(), kDim)))

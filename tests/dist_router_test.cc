@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -211,30 +212,6 @@ class DistRouterTest : public ::testing::Test {
   uint16_t router_port_ = 0;
 };
 
-std::vector<double> RandomRow(std::mt19937_64& rng, bool weight) {
-  std::uniform_real_distribution<double> value(weight ? 0.05 : 0.0,
-                                               weight ? 1.0 : 10000.0);
-  std::vector<double> row(kDim);
-  double sum = 0.0;
-  for (double& v : row) {
-    v = value(rng);
-    sum += v;
-  }
-  if (weight) {
-    for (double& v : row) v /= sum;
-  }
-  return row;
-}
-
-void ExpectRkrEq(const ReverseKRanksResult& got,
-                 const ReverseKRanksResult& want, const char* where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].weight_id, want[i].weight_id) << where << " #" << i;
-    EXPECT_EQ(got[i].rank, want[i].rank) << where << " #" << i;
-  }
-}
-
 /// The oracle gate: a churn + query stream through the router must be
 /// bit-identical to one DynamicGirIndex fed the same acked stream, at
 /// every cluster width. Also exercises the capped RKR verb and both
@@ -255,60 +232,35 @@ TEST_F(DistRouterTest, ClusterMatchesSingleIndexOracle) {
     auto oracle = DynamicGirIndex::Build(points_, weights_, oracle_options);
     ASSERT_TRUE(oracle.ok());
 
-    std::mt19937_64 rng(910 + n);
-    size_t live_points = points_.size();
-    size_t live_weights = weights_.size();
+    // One mutation, then RTK, RKR and capped RKR over one drawn query,
+    // per step. The target refuses any answer marked degraded.
+    OpStream stream(910 + n, {.dim = kDim,
+                              .mix = {.insert_point = 30, .delete_point = 15,
+                                      .insert_weight = 25, .delete_weight = 15,
+                                      .compact = 15},
+                              .live_points = points_.size(),
+                              .live_weights = weights_.size(),
+                              .min_live_points = 20,
+                              .min_live_weights = 8,
+                              .max_k = 7});
+    RemoteTarget target(client);
+    OracleChecker checker(oracle.value(), target, stream.seed());
     for (int op = 0; op < 30; ++op) {
-      const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-      if (dice < 30) {
-        const std::vector<double> row = RandomRow(rng, /*weight=*/false);
-        ASSERT_TRUE(client.InsertPoint(ConstRow(row.data(), kDim)).ok());
-        ASSERT_TRUE(
-            oracle.value().InsertPoint(ConstRow(row.data(), kDim)).ok());
-        ++live_points;
-      } else if (dice < 45 && live_points > 20) {
-        const uint64_t id = rng() % live_points;
-        ASSERT_TRUE(client.DeletePoint(id).ok());
-        ASSERT_TRUE(oracle.value().DeletePoint(id).ok());
-        --live_points;
-      } else if (dice < 70) {
-        const std::vector<double> row = RandomRow(rng, /*weight=*/true);
-        ASSERT_TRUE(client.InsertWeight(ConstRow(row.data(), kDim)).ok());
-        ASSERT_TRUE(
-            oracle.value().InsertWeight(ConstRow(row.data(), kDim)).ok());
-        ++live_weights;
-      } else if (dice < 85 && live_weights > 8) {
-        const uint64_t id = rng() % live_weights;
-        ASSERT_TRUE(client.DeleteWeight(id).ok());
-        ASSERT_TRUE(oracle.value().DeleteWeight(id).ok());
-        --live_weights;
-      } else {
-        ASSERT_TRUE(client.Compact().ok());
-        // Compact is a no-op on results; the oracle needs no mirror.
-      }
-      EXPECT_FALSE(client.last_degraded());
-
-      const std::vector<double> q = RandomRow(rng, /*weight=*/false);
-      const ConstRow qrow(q.data(), kDim);
-      const size_t k = 1 + rng() % 7;
-
-      auto rtk = client.ReverseTopK(qrow, static_cast<uint32_t>(k));
-      ASSERT_TRUE(rtk.ok()) << rtk.status().ToString();
-      EXPECT_FALSE(client.last_degraded());
-      EXPECT_EQ(rtk.value(), oracle.value().ReverseTopK(qrow, k))
-          << "op " << op;
-
-      auto rkr = client.ReverseKRanks(qrow, static_cast<uint32_t>(k));
-      ASSERT_TRUE(rkr.ok()) << rkr.status().ToString();
-      ExpectRkrEq(rkr.value(), oracle.value().ReverseKRanks(qrow, k), "rkr");
+      Status s = checker.Step(stream.Next());
+      Op query = stream.Query(OpKind::kRtk);
+      if (s.ok()) s = checker.Step(query);
+      query.kind = OpKind::kRkr;
+      if (s.ok()) s = checker.Step(query);
+      ASSERT_TRUE(s.ok()) << s.ToString();
 
       // An effectively-unbounded cap must change nothing; the router
       // threads it through the shared-bound fan-out path.
       auto capped = client.ReverseKRanksCapped(
-          qrow, static_cast<uint32_t>(k), int64_t{1} << 60);
+          query.Row(), static_cast<uint32_t>(query.k), int64_t{1} << 60);
       ASSERT_TRUE(capped.ok()) << capped.status().ToString();
-      ExpectRkrEq(capped.value(), oracle.value().ReverseKRanks(qrow, k),
-                  "capped");
+      EXPECT_EQ(capped.value(),
+                oracle.value().ReverseKRanks(query.Row(), query.k))
+          << "op " << op;
     }
 
     auto rtk_batch = client.ReverseTopKBatch(probes, 5);
@@ -317,18 +269,12 @@ TEST_F(DistRouterTest, ClusterMatchesSingleIndexOracle) {
     ASSERT_TRUE(rkr_batch.ok()) << rkr_batch.status().ToString();
     ASSERT_EQ(rtk_batch.value().size(), probes.size());
     ASSERT_EQ(rkr_batch.value().size(), probes.size());
-    for (size_t q = 0; q < probes.size(); ++q) {
-      EXPECT_EQ(rtk_batch.value()[q],
-                oracle.value().ReverseTopK(probes.row(q), 5))
-          << "batch probe " << q;
-      ExpectRkrEq(rkr_batch.value()[q],
-                  oracle.value().ReverseKRanks(probes.row(q), 5), "batch");
-    }
+    EXPECT_EQ(rtk_batch.value(), oracle.value().ReverseTopKBatch(probes, 5));
+    EXPECT_EQ(rkr_batch.value(),
+              oracle.value().ReverseKRanksBatch(probes, 5));
 
-    auto info = client.Info();
-    ASSERT_TRUE(info.ok());
-    EXPECT_EQ(info.value().live_points, oracle.value().live_point_count());
-    EXPECT_EQ(info.value().live_weights, oracle.value().live_weight_count());
+    const Status live = checker.CheckLive();
+    EXPECT_TRUE(live.ok()) << live.ToString();
 
     StopCluster();
   }
@@ -354,7 +300,7 @@ TEST_F(DistRouterTest, KilledShardDegradesWithAccurateCoverage) {
 
   std::mt19937_64 rng(921);
   for (int probe = 0; probe < 4; ++probe) {
-    const std::vector<double> q = RandomRow(rng, /*weight=*/false);
+    const std::vector<double> q = RandomPointRow(rng, kDim);
     const ConstRow qrow(q.data(), kDim);
     const size_t k = 3 + probe;
 
@@ -383,14 +329,14 @@ TEST_F(DistRouterTest, KilledShardDegradesWithAccurateCoverage) {
         want_rkr.push_back(entry);
       }
     }
-    ExpectRkrEq(rkr.value(), want_rkr, "degraded rkr");
+    EXPECT_EQ(rkr.value(), want_rkr) << "probe " << probe;
   }
 
   // Mutations: a weight insert whose round-robin owner is the live shard
   // succeeds completely (kOk, not degraded); one owned by the dead shard
   // is acked degraded with empty coverage and applied nowhere. 48 initial
   // weights → the cursor is at 48, so owners alternate 0, 1, 0, ...
-  const std::vector<double> w = RandomRow(rng, /*weight=*/true);
+  const std::vector<double> w = RandomWeightRow(rng, kDim);
   ASSERT_TRUE(client.InsertWeight(ConstRow(w.data(), kDim)).ok());
   EXPECT_FALSE(client.last_degraded()) << "live-owner insert";
   ASSERT_TRUE(client.InsertWeight(ConstRow(w.data(), kDim)).ok());
@@ -399,7 +345,7 @@ TEST_F(DistRouterTest, KilledShardDegradesWithAccurateCoverage) {
 
   // Broadcast point ops keep working, flagged degraded with the live
   // shard's bit set.
-  const std::vector<double> p = RandomRow(rng, /*weight=*/false);
+  const std::vector<double> p = RandomPointRow(rng, kDim);
   ASSERT_TRUE(client.InsertPoint(ConstRow(p.data(), kDim)).ok());
   EXPECT_TRUE(client.last_degraded());
   EXPECT_EQ(client.last_coverage(), 1u);

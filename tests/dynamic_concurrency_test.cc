@@ -21,27 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
 
 namespace gir {
 namespace {
-
-struct Mutation {
-  bool insert = false;
-  std::vector<double> values;  // insert
-  VectorId id = 0;             // delete
-};
-
-struct Observation {
-  size_t query_row;
-  uint32_t k;
-  uint64_t version;
-  bool is_rkr;
-  ReverseTopKResult rtk;
-  ReverseKRanksResult rkr;
-};
 
 class DynamicConcurrencyTest : public ::testing::TestWithParam<ScanMode> {};
 
@@ -63,29 +49,26 @@ TEST_P(DynamicConcurrencyTest, ReadersRaceOneWriterBitIdentically) {
   std::shared_mutex index_mu;
   std::atomic<uint64_t> version{0};
   std::atomic<bool> stop{false};
-  std::vector<Observation> observations[kReaders];
+  // Per reader, then the writer: each op with the version it ran at.
+  std::vector<RecordedOp> history[kReaders + 1];
 
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       std::mt19937_64 rng(500 + r);
       while (!stop.load(std::memory_order_relaxed)) {
-        Observation obs;
-        obs.query_row = rng() % points.size();
-        obs.k = 1 + static_cast<uint32_t>(rng() % 6);
-        obs.is_rkr = (r % 2 == 1);
+        RecordedOp obs;
+        const size_t query_row = rng() % points.size();
+        obs.op = QueryOp(r % 2 == 1 ? OpKind::kRkr : OpKind::kRtk,
+                         points.row(query_row), 1 + rng() % 6);
         {
           // The server's discipline: shared lock around the const query,
           // version read under the same lock.
           std::shared_lock<std::shared_mutex> lock(index_mu);
           obs.version = version.load(std::memory_order_relaxed);
-          if (obs.is_rkr) {
-            obs.rkr = index.ReverseKRanks(points.row(obs.query_row), obs.k);
-          } else {
-            obs.rtk = index.ReverseTopK(points.row(obs.query_row), obs.k);
-          }
+          obs.result = ApplyOp(index, obs.op);
         }
-        observations[r].push_back(std::move(obs));
+        history[r].push_back(std::move(obs));
         // Back off between queries: glibc's rwlock prefers readers, and
         // three spinning shared holders would starve the writer for
         // seconds at a time (the contention is the point of the test,
@@ -95,30 +78,22 @@ TEST_P(DynamicConcurrencyTest, ReadersRaceOneWriterBitIdentically) {
     });
   }
 
-  std::vector<Mutation> log;
   {
-    std::mt19937_64 rng(99);
-    std::uniform_real_distribution<double> value(0.0, 10000.0);
-    size_t live = points.size();
-    for (int op = 0; op < kMutations; ++op) {
-      Mutation m;
-      m.insert = live < 120 || (rng() % 2 == 0);
-      if (m.insert) {
-        for (size_t i = 0; i < kDim; ++i) m.values.push_back(value(rng));
-      } else {
-        m.id = static_cast<VectorId>(rng() % live);
-      }
+    OpStream stream(99, {.dim = kDim,
+                         .mix = {.insert_point = 50, .delete_point = 50},
+                         .live_points = points.size(),
+                         .live_weights = weights.size(),
+                         .min_live_points = 119});
+    for (int i = 0; i < kMutations; ++i) {
+      RecordedOp m;
+      m.op = stream.Next();
       {
         std::unique_lock<std::shared_mutex> lock(index_mu);
-        const Status s =
-            m.insert
-                ? index.InsertPoint(ConstRow(m.values.data(), kDim))
-                : index.DeletePoint(m.id);
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        version.fetch_add(1, std::memory_order_relaxed);
+        m.result = ApplyOp(index, m.op);
+        ASSERT_TRUE(m.result.status.ok()) << m.result.status.ToString();
+        m.version = version.fetch_add(1, std::memory_order_relaxed) + 1;
       }
-      live += m.insert ? 1 : -1;
-      log.push_back(std::move(m));
+      history[kReaders].push_back(std::move(m));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
@@ -127,41 +102,15 @@ TEST_P(DynamicConcurrencyTest, ReadersRaceOneWriterBitIdentically) {
 
   // Serial replay: rebuild, step through the log version by version, and
   // re-execute every observation at its stamped version.
+  std::vector<RecordedOp> all;
+  for (const auto& per_thread : history) {
+    all.insert(all.end(), per_thread.begin(), per_thread.end());
+  }
+  EXPECT_GT(all.size(), static_cast<size_t>(kMutations));
   auto rebuilt = DynamicGirIndex::Build(points, weights, options);
   ASSERT_TRUE(rebuilt.ok());
-  DynamicGirIndex replay = std::move(rebuilt).value();
-  size_t checked = 0;
-  for (uint64_t v = 0; v <= log.size(); ++v) {
-    if (v > 0) {
-      const Mutation& m = log[v - 1];
-      const Status s =
-          m.insert ? replay.InsertPoint(ConstRow(m.values.data(), kDim))
-                   : replay.DeletePoint(m.id);
-      ASSERT_TRUE(s.ok()) << s.ToString();
-    }
-    for (const auto& per_reader : observations) {
-      for (const Observation& obs : per_reader) {
-        if (obs.version != v) continue;
-        ++checked;
-        const ConstRow q = points.row(obs.query_row);
-        if (obs.is_rkr) {
-          const auto serial = replay.ReverseKRanks(q, obs.k);
-          ASSERT_EQ(obs.rkr.size(), serial.size()) << "version " << v;
-          for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(obs.rkr[i].weight_id, serial[i].weight_id);
-            EXPECT_EQ(obs.rkr[i].rank, serial[i].rank);
-          }
-        } else {
-          EXPECT_EQ(obs.rtk, replay.ReverseTopK(q, obs.k))
-              << "version " << v;
-        }
-      }
-    }
-  }
-  size_t total = 0;
-  for (const auto& per_reader : observations) total += per_reader.size();
-  EXPECT_EQ(checked, total);
-  EXPECT_GT(checked, 0u);
+  const Status s = CheckHistory(rebuilt.value(), std::move(all), 99);
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockedAndTau, DynamicConcurrencyTest,

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "core/naive.h"
 #include "core/thread_pool.h"
 #include "data/generators.h"
@@ -33,35 +34,18 @@ DynamicIndexOptions MakeOptions(ScanMode mode) {
   return options;
 }
 
-/// Rebuild-from-scratch oracle: a fresh static index over the dynamic
-/// index's materialized live sets, with the same options. Bit-identity
-/// against this (not just the naive scan) is the acceptance criterion —
-/// the dynamic paths must reproduce the static engines' exact answers.
-/// Owns its datasets: GirIndex keeps pointers to them, so they must live
-/// exactly as long as the index.
-struct Oracle {
-  std::unique_ptr<Dataset> points;
-  std::unique_ptr<Dataset> weights;
-  std::unique_ptr<GirIndex> index;
-};
-
-Oracle RebuildOracle(const DynamicGirIndex& dyn) {
-  Oracle o;
-  o.points = std::make_unique<Dataset>(dyn.LivePoints());
-  o.weights = std::make_unique<Dataset>(dyn.LiveWeights());
-  auto built = GirIndex::Build(*o.points, *o.weights, dyn.options().gir);
-  EXPECT_TRUE(built.ok()) << built.status().message();
-  o.index = std::make_unique<GirIndex>(std::move(built).value());
-  return o;
-}
-
+// The rebuild oracle (bench_util/op_stream.h): bit-identity against a
+// fresh static index over the live sets (not just the naive scan) is the
+// acceptance criterion — the dynamic paths must reproduce the static
+// engines' exact answers.
 void ExpectMatchesOracle(const DynamicGirIndex& dyn, const Dataset& queries,
                          size_t k, ThreadPool* pool,
                          const std::string& context) {
-  const Oracle rebuilt = RebuildOracle(dyn);
-  const GirIndex& oracle = *rebuilt.index;
-  const Dataset& live_points = *rebuilt.points;
-  const Dataset& live_weights = *rebuilt.weights;
+  const Result<RebuiltIndex> rebuilt = RebuildOracle(dyn);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  const GirIndex& oracle = *rebuilt.value().index;
+  const Dataset& live_points = *rebuilt.value().points;
+  const Dataset& live_weights = *rebuilt.value().weights;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ConstRow q = queries.row(qi);
     const ReverseTopKResult rtk = dyn.ReverseTopK(q, k);
@@ -112,44 +96,24 @@ TEST_P(DynamicChurnTest, BitIdenticalToRebuildAcrossChurnSchedule) {
 
   Dataset queries = GenerateUniform(3, d, 13);
   ThreadPool pool(3);
-  Rng rng(17);
+  // Point inserts dominate (delta buffer growth); deletes keep a
+  // nonempty live set, and weights occasionally run down to very few.
+  OpStream stream(17, {.dim = d,
+                       .mix = {.insert_point = 40, .delete_point = 20,
+                               .insert_weight = 20, .delete_weight = 20},
+                       .live_points = dyn.live_point_count(),
+                       .live_weights = dyn.live_weight_count(),
+                       .min_live_points = 20,
+                       .min_live_weights = 5});
   const size_t total_ops = 1040;
   const size_t batch_ops = 40;
   size_t ops_done = 0;
   uint64_t max_generation = 0;
   while (ops_done < total_ops) {
     for (size_t i = 0; i < batch_ops; ++i, ++ops_done) {
-      switch (rng.NextIndex(5)) {
-        case 0:
-        case 1: {  // insert point (delta buffer growth dominates)
-          const Dataset fresh = GenerateUniform(1, d, rng.NextU64());
-          ASSERT_TRUE(dyn.InsertPoint(fresh.row(0)).ok());
-          break;
-        }
-        case 2: {  // delete point, keeping a nonempty live set
-          if (dyn.live_point_count() > 20) {
-            ASSERT_TRUE(
-                dyn.DeletePoint(static_cast<VectorId>(
-                                    rng.NextIndex(dyn.live_point_count())))
-                    .ok());
-          }
-          break;
-        }
-        case 3: {  // insert weight
-          const Dataset fresh = GenerateWeightsUniform(1, d, rng.NextU64());
-          ASSERT_TRUE(dyn.InsertWeight(fresh.row(0)).ok());
-          break;
-        }
-        case 4: {  // delete weight (occasionally down to very few)
-          if (dyn.live_weight_count() > 5) {
-            ASSERT_TRUE(
-                dyn.DeleteWeight(static_cast<VectorId>(
-                                     rng.NextIndex(dyn.live_weight_count())))
-                    .ok());
-          }
-          break;
-        }
-      }
+      const Op op = stream.Next();
+      const Status s = ApplyOp(dyn, op).status;
+      ASSERT_TRUE(s.ok()) << OpKindName(op.kind) << ": " << s.ToString();
     }
     max_generation = std::max(max_generation, dyn.generation());
     const std::string context = "ops=" + std::to_string(ops_done);

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -201,12 +202,7 @@ TEST(QueryServerTest, SingleQueriesMatchLocalExecution) {
 
       auto remote_rkr = client.ReverseKRanks(points.row(row), k);
       ASSERT_TRUE(remote_rkr.ok());
-      const auto local = index->ReverseKRanks(points.row(row), k);
-      ASSERT_EQ(remote_rkr.value().size(), local.size());
-      for (size_t i = 0; i < local.size(); ++i) {
-        EXPECT_EQ(remote_rkr.value()[i].weight_id, local[i].weight_id);
-        EXPECT_EQ(remote_rkr.value()[i].rank, local[i].rank);
-      }
+      EXPECT_EQ(remote_rkr.value(), index->ReverseKRanks(points.row(row), k));
     }
   }
 }
@@ -229,15 +225,7 @@ TEST(QueryServerTest, WireBatchLargerThanMicroBatchIsNeverSplit) {
 
   auto remote_rkr = client.ReverseKRanksBatch(queries, 4);
   ASSERT_TRUE(remote_rkr.ok());
-  const auto local = index->ReverseKRanksBatch(queries, 4);
-  ASSERT_EQ(remote_rkr.value().size(), local.size());
-  for (size_t q = 0; q < local.size(); ++q) {
-    ASSERT_EQ(remote_rkr.value()[q].size(), local[q].size());
-    for (size_t i = 0; i < local[q].size(); ++i) {
-      EXPECT_EQ(remote_rkr.value()[q][i].weight_id, local[q][i].weight_id);
-      EXPECT_EQ(remote_rkr.value()[q][i].rank, local[q][i].rank);
-    }
-  }
+  EXPECT_EQ(remote_rkr.value(), index->ReverseKRanksBatch(queries, 4));
 }
 
 TEST(QueryServerTest, ConcurrentClientsCoalesceIntoMicroBatches) {
@@ -604,24 +592,9 @@ TEST(QueryServerTest, ChurnVersusQueriesReplaysToBitIdenticalAnswers) {
   QueryServer server(index.get(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The mutation log: op o was applied at version o+1. Queries record the
-  // version their response was stamped with.
-  struct Mutation {
-    bool insert = false;
-    bool point = false;
-    std::vector<double> values;
-    uint64_t id = 0;
-  };
-  std::vector<Mutation> mutations;
-  struct Observation {
-    std::vector<double> query;
-    uint32_t k;
-    uint64_t version;
-    ReverseTopKResult rtk;
-    ReverseKRanksResult rkr;
-    bool is_rkr;
-  };
-  std::vector<Observation> observations[2];
+  // Per query thread, then the mutator: each op with the index version
+  // its response was stamped with (mutation o creates version o+1).
+  std::vector<RecordedOp> history[3];
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -629,31 +602,20 @@ TEST(QueryServerTest, ChurnVersusQueriesReplaysToBitIdenticalAnswers) {
   for (int t = 0; t < 2; ++t) {
     query_threads.emplace_back([&, t] {
       RemoteClient client = MustConnect(server);
+      RemoteTarget target(client);
       std::mt19937_64 rng(1000 + t);
       while (!stop.load()) {
-        Observation obs;
+        RecordedOp obs;
         const size_t row = rng() % points.size();
-        obs.query.assign(points.row(row).begin(), points.row(row).end());
-        obs.k = 1 + static_cast<uint32_t>(rng() % 8);
-        obs.is_rkr = (t == 1);
-        const ConstRow q(obs.query.data(), obs.query.size());
-        if (obs.is_rkr) {
-          auto result = client.ReverseKRanks(q, obs.k);
-          if (!result.ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          obs.rkr = std::move(result).value();
-        } else {
-          auto result = client.ReverseTopK(q, obs.k);
-          if (!result.ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          obs.rtk = std::move(result).value();
+        obs.op = QueryOp(t == 1 ? OpKind::kRkr : OpKind::kRtk,
+                         points.row(row), 1 + rng() % 8);
+        obs.result = target.Apply(obs.op);
+        if (!obs.result.status.ok()) {
+          failures.fetch_add(1);
+          continue;
         }
         obs.version = client.last_index_version();
-        observations[t].push_back(std::move(obs));
+        history[t].push_back(std::move(obs));
       }
     });
   }
@@ -661,26 +623,20 @@ TEST(QueryServerTest, ChurnVersusQueriesReplaysToBitIdenticalAnswers) {
   // One mutating client: inserts and deletes racing the query batches.
   {
     RemoteClient client = MustConnect(server);
-    std::mt19937_64 rng(77);
-    std::uniform_real_distribution<double> value(0.0, 10000.0);
-    size_t live_points = points.size();
+    RemoteTarget target(client);
+    OpStream stream(77, {.dim = kDim,
+                         .mix = {.insert_point = 50, .delete_point = 50},
+                         .live_points = points.size(),
+                         .live_weights = weights.size(),
+                         .min_live_points = 149});
     for (int op = 0; op < 40; ++op) {
-      Mutation m;
-      m.point = true;
-      m.insert = live_points < 150 || (rng() % 2 == 0);
-      if (m.insert) {
-        for (size_t i = 0; i < kDim; ++i) m.values.push_back(value(rng));
-        ASSERT_TRUE(
-            client.InsertPoint(ConstRow(m.values.data(), kDim)).ok());
-        ++live_points;
-      } else {
-        m.id = rng() % live_points;
-        ASSERT_TRUE(client.DeletePoint(m.id).ok());
-        --live_points;
-      }
-      ASSERT_EQ(client.last_index_version(),
-                static_cast<uint64_t>(op + 1));
-      mutations.push_back(std::move(m));
+      RecordedOp m;
+      m.op = stream.Next();
+      m.result = target.Apply(m.op);
+      ASSERT_TRUE(m.result.status.ok()) << m.result.status.ToString();
+      m.version = client.last_index_version();
+      ASSERT_EQ(m.version, static_cast<uint64_t>(op + 1));
+      history[2].push_back(std::move(m));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
@@ -688,6 +644,7 @@ TEST(QueryServerTest, ChurnVersusQueriesReplaysToBitIdenticalAnswers) {
   for (std::thread& t : query_threads) t.join();
   server.Shutdown();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_FALSE(history[0].empty() && history[1].empty());
 
   // Serial replay: a fresh index stepped through the mutation log; every
   // observation re-executed at its stamped version must be bit-identical.
@@ -695,44 +652,14 @@ TEST(QueryServerTest, ChurnVersusQueriesReplaysToBitIdenticalAnswers) {
   // merge oracle: the server ran the sharded router.
   DynamicIndexOptions replay_options;
   replay_options.gir.scan_mode = ScanMode::kBlocked;
-  auto replay_built = DynamicGirIndex::Build(points, weights, replay_options);
-  ASSERT_TRUE(replay_built.ok()) << replay_built.status().ToString();
-  DynamicGirIndex replay = std::move(replay_built).value();
-  std::vector<Observation> all;
-  for (auto& per_thread : observations) {
-    for (auto& obs : per_thread) all.push_back(std::move(obs));
+  auto replay = DynamicGirIndex::Build(points, weights, replay_options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  std::vector<RecordedOp> all;
+  for (const auto& per_thread : history) {
+    all.insert(all.end(), per_thread.begin(), per_thread.end());
   }
-  size_t checked = 0;
-  for (uint64_t version = 0; version <= mutations.size(); ++version) {
-    if (version > 0) {
-      const Mutation& m = mutations[version - 1];
-      if (m.insert) {
-        ASSERT_TRUE(
-            replay.InsertPoint(ConstRow(m.values.data(), kDim)).ok());
-      } else {
-        ASSERT_TRUE(
-            replay.DeletePoint(static_cast<VectorId>(m.id)).ok());
-      }
-    }
-    for (const Observation& obs : all) {
-      if (obs.version != version) continue;
-      ++checked;
-      const ConstRow q(obs.query.data(), obs.query.size());
-      if (obs.is_rkr) {
-        const auto serial = replay.ReverseKRanks(q, obs.k);
-        ASSERT_EQ(obs.rkr.size(), serial.size()) << "version " << version;
-        for (size_t i = 0; i < serial.size(); ++i) {
-          EXPECT_EQ(obs.rkr[i].weight_id, serial[i].weight_id);
-          EXPECT_EQ(obs.rkr[i].rank, serial[i].rank);
-        }
-      } else {
-        EXPECT_EQ(obs.rtk, replay.ReverseTopK(q, obs.k))
-            << "version " << version;
-      }
-    }
-  }
-  EXPECT_EQ(checked, all.size());
-  EXPECT_GT(checked, 0u);
+  const Status s = CheckHistory(replay.value(), std::move(all), 77);
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 // ---- Result cache (server/result_cache.h wired into the server) ------------
@@ -846,8 +773,6 @@ TEST(QueryServerTest, CachedAnswersStayBitIdenticalUnderChurn) {
   const size_t kDim = 4;
   const Dataset points = MakePoints(240, kDim, 27);
   const Dataset weights = MakeWeights(60, kDim, 28);
-  // A pool of valid preference rows for weight inserts.
-  const Dataset weight_pool = MakeWeights(64, kDim, 29);
 
   for (const size_t shards : {size_t{1}, size_t{2}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -868,73 +793,41 @@ TEST(QueryServerTest, CachedAnswersStayBitIdenticalUnderChurn) {
     ASSERT_TRUE(shadow_built.ok()) << shadow_built.status().ToString();
     DynamicGirIndex shadow = std::move(shadow_built).value();
 
-    std::mt19937_64 rng(500 + shards);
-    std::uniform_real_distribution<double> coord(0.0, 10000.0);
-    size_t live_points = points.size();
-    size_t live_weights = weights.size();
-    size_t next_weight = 0;
+    OpStream stream(500 + shards,
+                    {.dim = kDim,
+                     .mix = {.insert_point = 3, .delete_point = 2,
+                             .insert_weight = 2, .delete_weight = 1,
+                             .compact = 1, .rtk = 46, .rkr = 45},
+                     .live_points = points.size(),
+                     .live_weights = weights.size(),
+                     .min_live_points = 60,
+                     .min_live_weights = 20});
+    RemoteTarget target(client);
+    OracleChecker checker(shadow, target, stream.seed());
+    std::mt19937_64 rng(600 + shards);
     uint64_t version = 0;
     size_t hits = 0;
     constexpr int kOps = 1100;
     for (int op = 0; op < kOps; ++op) {
-      const uint64_t dice = rng() % 100;
-      if (dice < 3) {  // point insert (one in three far away)
-        std::vector<double> p(kDim);
-        const bool far = rng() % 3 == 0;
-        for (double& v : p) v = far ? 1e6 + coord(rng) : coord(rng);
-        ASSERT_TRUE(client.InsertPoint(ConstRow(p.data(), kDim)).ok());
-        ASSERT_TRUE(shadow.InsertPoint(ConstRow(p.data(), kDim)).ok());
-        ++live_points;
-        ++version;
-      } else if (dice < 5 && live_points > 60) {  // point delete
-        const VectorId id = static_cast<VectorId>(rng() % live_points);
-        ASSERT_TRUE(client.DeletePoint(id).ok());
-        ASSERT_TRUE(shadow.DeletePoint(id).ok());
-        --live_points;
-        ++version;
-      } else if (dice < 7 && next_weight < weight_pool.size()) {
-        const ConstRow w = weight_pool.row(next_weight++);
-        ASSERT_TRUE(client.InsertWeight(w).ok());
-        ASSERT_TRUE(shadow.InsertWeight(w).ok());
-        ++live_weights;
-        ++version;
-      } else if (dice < 8 && live_weights > 20) {  // weight delete
-        const VectorId id = static_cast<VectorId>(rng() % live_weights);
-        ASSERT_TRUE(client.DeleteWeight(id).ok());
-        ASSERT_TRUE(shadow.DeleteWeight(id).ok());
-        --live_weights;
-        ++version;
-      } else if (dice < 9) {  // compaction
-        ASSERT_TRUE(client.Compact().ok());
-        ASSERT_TRUE(shadow.Compact().ok());
-        ++version;
-      } else {  // query from a small pool so repeats hit the cache
-        const size_t row = rng() % 24;
-        const uint32_t k = 1 + static_cast<uint32_t>(rng() % 8);
-        const ConstRow q = points.row(row);
-        if (rng() % 2 == 0) {
-          auto remote = client.ReverseTopK(q, k);
-          ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-          EXPECT_EQ(remote.value(), shadow.ReverseTopK(q, k))
-              << "op " << op << " k " << k << " row " << row
-              << (client.last_cache_hit() ? " (cache hit)" : "");
-        } else {
-          auto remote = client.ReverseKRanks(q, k);
-          ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-          const auto local = shadow.ReverseKRanks(q, k);
-          ASSERT_EQ(remote.value().size(), local.size())
-              << "op " << op << " k " << k << " row " << row
-              << (client.last_cache_hit() ? " (cache hit)" : "");
-          for (size_t i = 0; i < local.size(); ++i) {
-            EXPECT_EQ(remote.value()[i].weight_id, local[i].weight_id);
-            EXPECT_EQ(remote.value()[i].rank, local[i].rank);
-          }
-        }
-        if (client.last_cache_hit()) ++hits;
-        // A cache hit is stamped with the snapshot it was served at,
-        // which in this single-client lockstep is the mutation count.
-        ASSERT_EQ(client.last_index_version(), version) << "op " << op;
+      Op next = stream.Next();
+      if (IsQuery(next.kind)) {
+        // Queries come from a small pool so repeats hit the cache.
+        const ConstRow q = points.row(rng() % 24);
+        next.row.assign(q.begin(), q.end());
+      } else if (next.kind == OpKind::kInsertPoint && rng() % 3 == 0) {
+        for (double& v : next.row) v += 1e6;  // one in three far away
       }
+      const Status s = checker.Step(next);
+      ASSERT_TRUE(s.ok()) << s.ToString()
+                          << (client.last_cache_hit() ? " (cache hit)" : "");
+      if (!IsQuery(next.kind)) {
+        ++version;
+        continue;
+      }
+      if (client.last_cache_hit()) ++hits;
+      // A cache hit is stamped with the snapshot it was served at,
+      // which in this single-client lockstep is the mutation count.
+      ASSERT_EQ(client.last_index_version(), version) << "op " << op;
     }
     // The cache must actually have carried answers across mutations —
     // otherwise this test degenerates to the plain churn replay.

@@ -3,8 +3,10 @@
 // bit-identity: a ShardedGirIndex fed an operation stream answers every
 // query exactly as a single DynamicGirIndex fed the same stream — same
 // ids, same ranks, same tie order — for any shard count, under
-// concurrent churn, and across a save/load cycle. The merge oracle here is the authoritative check;
-// bench_shard_scaling re-runs it before measuring.
+// concurrent churn, and across a save/load cycle. The merge oracle here
+// (bench_util/op_stream.h's OracleChecker over one seeded OpStream) is
+// the authoritative check; bench_shard_scaling re-runs it before
+// measuring, and oracle_sweep_test runs it over hundreds of seeds.
 //
 // This suite is deliberately fast-labelled: the TSan CI lane skips slow
 // suites, and the concurrent churn test below is exactly what it exists
@@ -20,8 +22,10 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -59,102 +63,20 @@ std::unique_ptr<ShardedGirIndex> BuildSharded(
   return std::move(index).value();
 }
 
-std::vector<double> RandomPointRow(std::mt19937_64& rng, size_t d) {
-  std::uniform_real_distribution<double> value(0.0, 10000.0);
-  std::vector<double> row(d);
-  for (double& v : row) v = value(rng);
-  return row;
-}
-
-std::vector<double> RandomWeightRow(std::mt19937_64& rng, size_t d) {
-  std::uniform_real_distribution<double> value(0.05, 1.0);
-  std::vector<double> row(d);
-  double sum = 0.0;
-  for (double& v : row) {
-    v = value(rng);
-    sum += v;
-  }
-  for (double& v : row) v /= sum;
-  return row;
-}
-
-void ExpectSameRkr(const ReverseKRanksResult& got,
-                   const ReverseKRanksResult& want, const char* where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].weight_id, want[i].weight_id) << where << " #" << i;
-    EXPECT_EQ(got[i].rank, want[i].rank) << where << " #" << i;
-  }
-}
-
-/// The merge oracle: one randomized operation stream applied to a single
-/// DynamicGirIndex and to a sharded router, query-for-query bit-identical.
-/// Statuses must agree too, so both sides consume the same live-id space
-/// and stay in lockstep for the whole stream.
+/// The merge oracle (bench_util/op_stream.h): one seeded operation
+/// stream applied to a single DynamicGirIndex and to a sharded router,
+/// query-for-query bit-identical. Statuses must agree too, so both sides
+/// consume the same live-id space and stay in lockstep for the whole
+/// stream.
 void RunMergeOracle(size_t shards, size_t num_ops, ScanMode mode,
                     uint64_t seed) {
-  const size_t kDim = 4;
-  const Dataset points = MakePoints(120, kDim, seed);
-  const Dataset weights = MakeWeights(160, kDim, seed + 1);
-  DynamicGirIndex single = BuildSingle(points, weights, mode);
-  std::unique_ptr<ShardedGirIndex> sharded =
-      BuildSharded(points, weights, shards, mode);
-
-  std::mt19937_64 rng(seed + 2);
-  size_t live_points = points.size();
-  size_t live_weights = weights.size();
-  size_t queries_checked = 0;
-  for (size_t op = 0; op < num_ops; ++op) {
-    const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-    if (dice < 15) {
-      const std::vector<double> row = RandomPointRow(rng, kDim);
-      const ConstRow r(row.data(), row.size());
-      const Status a = single.InsertPoint(r);
-      const Status b = sharded->InsertPoint(r);
-      ASSERT_EQ(a.ok(), b.ok()) << a.ToString() << " vs " << b.ToString();
-      if (a.ok()) ++live_points;
-    } else if (dice < 25 && live_points > 40) {
-      const VectorId id = static_cast<VectorId>(rng() % live_points);
-      const Status a = single.DeletePoint(id);
-      const Status b = sharded->DeletePoint(id);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) --live_points;
-    } else if (dice < 55) {
-      const std::vector<double> row = RandomWeightRow(rng, kDim);
-      const ConstRow r(row.data(), row.size());
-      const Status a = single.InsertWeight(r);
-      const Status b = sharded->InsertWeight(r);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) ++live_weights;
-    } else if (dice < 72 && live_weights > 30) {
-      const VectorId id = static_cast<VectorId>(rng() % live_weights);
-      const Status a = single.DeleteWeight(id);
-      const Status b = sharded->DeleteWeight(id);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) --live_weights;
-    } else if (dice < 75) {
-      const Status a = single.Compact();
-      const Status b = sharded->Compact();
-      ASSERT_EQ(a.ok(), b.ok());
-    } else if (dice < 88) {
-      const std::vector<double> q = RandomPointRow(rng, kDim);
-      const size_t k = 1 + rng() % 8;
-      const ConstRow row(q.data(), q.size());
-      EXPECT_EQ(sharded->ReverseTopK(row, k), single.ReverseTopK(row, k))
-          << "op " << op;
-      ++queries_checked;
-    } else {
-      const std::vector<double> q = RandomPointRow(rng, kDim);
-      const size_t k = 1 + rng() % 8;
-      const ConstRow row(q.data(), q.size());
-      ExpectSameRkr(sharded->ReverseKRanks(row, k),
-                    single.ReverseKRanks(row, k), "rkr oracle");
-      ++queries_checked;
-    }
-  }
-  EXPECT_EQ(single.live_point_count(), sharded->live_point_count());
-  EXPECT_EQ(single.live_weight_count(), sharded->live_weight_count());
-  EXPECT_GT(queries_checked, num_ops / 8);
+  ShardedIndexOptions options;
+  options.shards = shards;
+  options.dynamic.gir.scan_mode = mode;
+  size_t queries = 0;
+  const Status s = CheckShardedMerge(options, num_ops, seed, &queries);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(queries, num_ops / 8);
 }
 
 TEST(ShardedIndexTest, MergeOracleMatchesSingleIndexAcrossShardCounts) {
@@ -203,12 +125,8 @@ TEST(ShardedIndexTest, BatchQueriesMergeBitIdentically) {
   for (size_t i = 0; i < 48; ++i) queries.AppendUnchecked(points.row(i));
   EXPECT_EQ(sharded->ReverseTopKBatch(queries, 6),
             single.ReverseTopKBatch(queries, 6));
-  const auto got = sharded->ReverseKRanksBatch(queries, 5);
-  const auto want = single.ReverseKRanksBatch(queries, 5);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t q = 0; q < want.size(); ++q) {
-    ExpectSameRkr(got[q], want[q], "batch rkr");
-  }
+  EXPECT_EQ(sharded->ReverseKRanksBatch(queries, 5),
+            single.ReverseKRanksBatch(queries, 5));
 }
 
 TEST(ShardedIndexTest, ShardsMayStartEmptyWhenWeightsAreFewerThanShards) {
@@ -222,8 +140,7 @@ TEST(ShardedIndexTest, ShardsMayStartEmptyWhenWeightsAreFewerThanShards) {
   const std::vector<double> q = RandomPointRow(rng, kDim);
   const ConstRow row(q.data(), q.size());
   EXPECT_EQ(sharded->ReverseTopK(row, 4), single.ReverseTopK(row, 4));
-  ExpectSameRkr(sharded->ReverseKRanks(row, 4), single.ReverseKRanks(row, 4),
-                "empty shards");
+  EXPECT_EQ(sharded->ReverseKRanks(row, 4), single.ReverseKRanks(row, 4));
 
   // Round-robin inserts fill the empty shards; answers stay identical.
   for (int i = 0; i < 10; ++i) {
@@ -231,8 +148,7 @@ TEST(ShardedIndexTest, ShardsMayStartEmptyWhenWeightsAreFewerThanShards) {
     ASSERT_TRUE(single.InsertWeight(ConstRow(w.data(), kDim)).ok());
     ASSERT_TRUE(sharded->InsertWeight(ConstRow(w.data(), kDim)).ok());
   }
-  ExpectSameRkr(sharded->ReverseKRanks(row, 6), single.ReverseKRanks(row, 6),
-                "filled shards");
+  EXPECT_EQ(sharded->ReverseKRanks(row, 6), single.ReverseKRanks(row, 6));
   for (const ShardStatsSnapshot& snap : sharded->ShardStats()) {
     EXPECT_GT(snap.live_weights, 0u);
   }
@@ -274,54 +190,33 @@ TEST(ShardedIndexTest, ConcurrentChurnReplaysToBitIdenticalAnswers) {
   const Dataset weights = MakeWeights(120, kDim, 72);
   auto sharded = BuildSharded(points, weights, kShards);
 
-  struct Mutation {
-    uint64_t seq = 0;
-    enum { kInsertPoint, kInsertWeight, kDeleteWeight } kind = kInsertPoint;
-    std::vector<double> row;
-    VectorId id = 0;
-  };
-  struct Observation {
-    uint64_t seq = 0;
-    std::vector<double> query;
-    size_t k = 0;
-    bool is_rkr = false;
-    ReverseTopKResult rtk;
-    ReverseKRanksResult rkr;
-  };
-
   constexpr size_t kReaders = 3;
   constexpr size_t kWriterOps = 60;
   constexpr size_t kReaderOps = 40;
-  std::vector<std::vector<Mutation>> mutation_log(kShards);
-  std::vector<std::vector<Observation>> observations(kReaders);
+  // Per thread: every admitted mutation with the sequence it was admitted
+  // at, every query with the sequence it executed at.
+  std::vector<std::vector<RecordedOp>> history(kShards + kReaders);
   std::atomic<int> failures{0};
 
   std::vector<std::thread> threads;
   for (size_t w = 0; w < kShards; ++w) {
     threads.emplace_back([&, w] {
-      std::mt19937_64 rng(500 + w);
-      for (size_t op = 0; op < kWriterOps; ++op) {
-        Mutation m;
-        const uint32_t dice = static_cast<uint32_t>(rng() % 10);
-        Status s;
-        if (dice < 5) {
-          m.kind = Mutation::kInsertWeight;
-          m.row = RandomWeightRow(rng, kDim);
-          s = sharded->InsertWeight(ConstRow(m.row.data(), kDim), &m.seq);
-        } else if (dice < 8) {
-          m.kind = Mutation::kInsertPoint;
-          m.row = RandomPointRow(rng, kDim);
-          s = sharded->InsertPoint(ConstRow(m.row.data(), kDim), &m.seq);
-        } else {
-          // Live id 0 is valid as long as any weight is alive; which
-          // weight that is at application time is decided by the
-          // admission order the sequence number captures.
-          m.kind = Mutation::kDeleteWeight;
-          m.id = 0;
-          s = sharded->DeleteWeight(m.id, &m.seq);
-        }
-        if (s.ok()) {
-          mutation_log[w].push_back(std::move(m));
+      OpStream stream(500 + w, {.dim = kDim,
+                                .mix = {.insert_point = 30,
+                                        .insert_weight = 50,
+                                        .delete_weight = 20},
+                                .live_points = points.size(),
+                                .live_weights = weights.size()});
+      for (size_t i = 0; i < kWriterOps; ++i) {
+        RecordedOp m;
+        m.op = stream.Next();
+        // Live id 0 is valid as long as any weight is alive; which
+        // weight that is at application time is decided by the
+        // admission order the sequence number captures.
+        m.op.id = 0;
+        m.result = ApplyOp(*sharded, m.op, &m.version);
+        if (m.result.status.ok()) {
+          history[w].push_back(std::move(m));
         } else {
           failures.fetch_add(1);
         }
@@ -330,80 +225,29 @@ TEST(ShardedIndexTest, ConcurrentChurnReplaysToBitIdenticalAnswers) {
   }
   for (size_t r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
-      std::mt19937_64 rng(900 + r);
-      for (size_t op = 0; op < kReaderOps; ++op) {
-        Observation obs;
-        obs.query = RandomPointRow(rng, kDim);
-        obs.k = 1 + rng() % 6;
-        obs.is_rkr = (rng() % 2) == 0;
-        const ConstRow q(obs.query.data(), obs.query.size());
-        if (obs.is_rkr) {
-          obs.rkr = sharded->ReverseKRanks(q, obs.k, nullptr, &obs.seq);
-        } else {
-          obs.rtk = sharded->ReverseTopK(q, obs.k, nullptr, &obs.seq);
-        }
-        observations[r].push_back(std::move(obs));
+      OpStream stream(900 + r, {.dim = kDim,
+                                .mix = {.rtk = 50, .rkr = 50},
+                                .max_k = 6});
+      for (size_t i = 0; i < kReaderOps; ++i) {
+        RecordedOp obs;
+        obs.op = stream.Next();
+        obs.result = ApplyOp(*sharded, obs.op, &obs.version);
+        history[kShards + r].push_back(std::move(obs));
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Serial replay. Admission assigned each successful mutation a unique
-  // sequence number; merging the per-writer logs by it reconstructs the
-  // exact global operation order.
-  std::vector<Mutation> ordered;
-  for (auto& log : mutation_log) {
-    for (auto& m : log) ordered.push_back(std::move(m));
+  // Serial replay. Admission assigned each successful mutation a unique,
+  // dense sequence number, which reconstructs the exact global order.
+  std::vector<RecordedOp> all;
+  for (const auto& per_thread : history) {
+    all.insert(all.end(), per_thread.begin(), per_thread.end());
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Mutation& a, const Mutation& b) { return a.seq < b.seq; });
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    ASSERT_EQ(ordered[i].seq, i + 1) << "sequence numbers must be dense";
-  }
-
-  std::vector<Observation> all;
-  for (auto& per_thread : observations) {
-    for (auto& obs : per_thread) all.push_back(std::move(obs));
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Observation& a, const Observation& b) {
-              return a.seq < b.seq;
-            });
-
   DynamicGirIndex replay = BuildSingle(points, weights);
-  size_t checked = 0;
-  size_t next = 0;
-  for (uint64_t version = 0; version <= ordered.size(); ++version) {
-    if (version > 0) {
-      const Mutation& m = ordered[version - 1];
-      switch (m.kind) {
-        case Mutation::kInsertPoint:
-          ASSERT_TRUE(replay.InsertPoint(ConstRow(m.row.data(), kDim)).ok());
-          break;
-        case Mutation::kInsertWeight:
-          ASSERT_TRUE(replay.InsertWeight(ConstRow(m.row.data(), kDim)).ok());
-          break;
-        case Mutation::kDeleteWeight:
-          ASSERT_TRUE(replay.DeleteWeight(m.id).ok());
-          break;
-      }
-    }
-    for (; next < all.size() && all[next].seq == version; ++next) {
-      const Observation& obs = all[next];
-      const ConstRow q(obs.query.data(), obs.query.size());
-      if (obs.is_rkr) {
-        ExpectSameRkr(obs.rkr, replay.ReverseKRanks(q, obs.k),
-                      "churn replay rkr");
-      } else {
-        EXPECT_EQ(obs.rtk, replay.ReverseTopK(q, obs.k))
-            << "at version " << version;
-      }
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, all.size());
-  EXPECT_EQ(checked, kReaders * kReaderOps);
+  const Status s = CheckHistory(replay, std::move(all), 500);
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 // ---- GIRSHD01 persistence ---------------------------------------------------
@@ -465,8 +309,7 @@ TEST(ShardedIndexIoTest, RoundTripsAndContinuesMutatingBitIdentically) {
       const std::vector<double> q = RandomPointRow(cont, kDim);
       const ConstRow row(q.data(), q.size());
       EXPECT_EQ(loaded.ReverseTopK(row, 5), original->ReverseTopK(row, 5));
-      ExpectSameRkr(loaded.ReverseKRanks(row, 5),
-                    original->ReverseKRanks(row, 5), "loaded rkr");
+      EXPECT_EQ(loaded.ReverseKRanks(row, 5), original->ReverseKRanks(row, 5));
     }
   }
 
@@ -484,8 +327,7 @@ TEST(ShardedIndexIoTest, RoundTripsAndContinuesMutatingBitIdentically) {
   ASSERT_TRUE(continued.DeleteWeight(5).ok());
   const std::vector<double> q = RandomPointRow(cont, kDim);
   const ConstRow row(q.data(), q.size());
-  ExpectSameRkr(continued.ReverseKRanks(row, 7),
-                original->ReverseKRanks(row, 7), "continued rkr");
+  EXPECT_EQ(continued.ReverseKRanks(row, 7), original->ReverseKRanks(row, 7));
   EXPECT_EQ(continued.WeightOwners(), original->WeightOwners());
 }
 
@@ -628,8 +470,7 @@ TEST(ShardedIndexIoTest, FromPartsRejectsInconsistentShards) {
   std::mt19937_64 rng(97);
   const std::vector<double> q = RandomPointRow(rng, kDim);
   const ConstRow row(q.data(), q.size());
-  ExpectSameRkr(ok.value()->ReverseKRanks(row, 5), single.ReverseKRanks(row, 5),
-                "from-parts rkr");
+  EXPECT_EQ(ok.value()->ReverseKRanks(row, 5), single.ReverseKRanks(row, 5));
 }
 
 }  // namespace

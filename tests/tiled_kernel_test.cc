@@ -313,14 +313,8 @@ class BatchEquivalence : public ::testing::TestWithParam<bool> {
       EXPECT_EQ(rtk[qi], expect_rtk) << "q=" << qi << " k=" << k;
       EXPECT_EQ(rtk_par[qi], expect_rtk) << "q=" << qi << " k=" << k;
       const auto expect_rkr = index.ReverseKRanks(queries_.row(qi), k);
-      ASSERT_EQ(rkr[qi].size(), expect_rkr.size()) << "q=" << qi;
-      ASSERT_EQ(rkr_par[qi].size(), expect_rkr.size()) << "q=" << qi;
-      for (size_t i = 0; i < expect_rkr.size(); ++i) {
-        EXPECT_EQ(rkr[qi][i].weight_id, expect_rkr[i].weight_id);
-        EXPECT_EQ(rkr[qi][i].rank, expect_rkr[i].rank);
-        EXPECT_EQ(rkr_par[qi][i].weight_id, expect_rkr[i].weight_id);
-        EXPECT_EQ(rkr_par[qi][i].rank, expect_rkr[i].rank);
-      }
+      EXPECT_EQ(rkr[qi], expect_rkr) << "q=" << qi << " k=" << k;
+      EXPECT_EQ(rkr_par[qi], expect_rkr) << "q=" << qi << " k=" << k;
     }
   }
 

@@ -20,10 +20,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
+#include "bench_util/op_stream.h"
 #include "data/generators.h"
 #include "data/weights.h"
 #include "grid/dynamic_index.h"
@@ -448,24 +448,17 @@ class ShardedWalTest : public WalTest {
   /// A deterministic churn script: inserts, deletes, one explicit
   /// compaction. Returns the probe queries used for bit-identity checks.
   Dataset Churn(ShardedGirIndex& index, uint64_t seed, size_t ops = 120) {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> value(0.0, 10000.0);
+    OpStream stream(seed, {.dim = kDim,
+                           .mix = {.insert_point = 30, .delete_point = 25,
+                                   .insert_weight = 25, .delete_weight = 20},
+                           .live_points = index.live_point_count(),
+                           .live_weights = index.live_weight_count(),
+                           .min_live_points = 20,
+                           .min_live_weights = 20});
     for (size_t i = 0; i < ops; ++i) {
-      const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-      std::vector<double> row(kDim);
-      for (double& v : row) v = value(rng);
-      if (dice < 30) {
-        EXPECT_TRUE(index.InsertPoint(ConstRow(row.data(), kDim)).ok());
-      } else if (dice < 55 && index.live_point_count() > 20) {
-        (void)index.DeletePoint(rng() % index.live_point_count());
-      } else if (dice < 80) {
-        double sum = 0.0;
-        for (double& v : row) sum += v;
-        for (double& v : row) v /= sum;
-        EXPECT_TRUE(index.InsertWeight(ConstRow(row.data(), kDim)).ok());
-      } else if (index.live_weight_count() > 20) {
-        (void)index.DeleteWeight(rng() % index.live_weight_count());
-      }
+      const Op op = stream.Next();
+      const Status s = ApplyOp(index, op).status;
+      EXPECT_TRUE(s.ok()) << OpKindName(op.kind) << " " << s.ToString();
       if (i == ops / 2) (void)index.Compact();
     }
     return GeneratePoints(PointDistribution::kUniform, 12, kDim, seed + 99);
@@ -478,13 +471,9 @@ class ShardedWalTest : public WalTest {
     ASSERT_EQ(got.live_point_count(), want.live_point_count());
     ASSERT_EQ(got.live_weight_count(), want.live_weight_count());
     for (size_t q = 0; q < probes.size(); ++q) {
-      const ReverseKRanksResult a = got.ReverseKRanks(probes.row(q), 5);
-      const ReverseKRanksResult b = want.ReverseKRanks(probes.row(q), 5);
-      ASSERT_EQ(a.size(), b.size()) << "probe " << q;
-      for (size_t i = 0; i < b.size(); ++i) {
-        EXPECT_EQ(a[i].weight_id, b[i].weight_id) << "probe " << q;
-        EXPECT_EQ(a[i].rank, b[i].rank) << "probe " << q;
-      }
+      EXPECT_EQ(got.ReverseKRanks(probes.row(q), 5),
+                want.ReverseKRanks(probes.row(q), 5))
+          << "probe " << q;
     }
     // Generation counters converge too — replayed compactions (explicit,
     // auto, and background markers) must land on the same counts.
@@ -629,36 +618,20 @@ TEST_F(ShardedWalTest, BackgroundCompactionMatchesTheSingleIndexOracle) {
       DynamicGirIndex::Build(BasePoints(), BaseWeights(), single_options);
   ASSERT_TRUE(single.ok());
 
-  std::mt19937_64 rng(61);
-  std::uniform_real_distribution<double> value(0.0, 10000.0);
+  OpStream stream(61, {.dim = kDim,
+                       .mix = {.insert_point = 40, .delete_point = 60},
+                       .live_points = live->live_point_count(),
+                       .live_weights = live->live_weight_count(),
+                       .min_live_points = 20});
+  IndexTarget target(*live);
+  OracleChecker checker(single.value(), target, stream.seed());
   const Dataset probes = GeneratePoints(PointDistribution::kUniform, 8, kDim, 62);
   for (size_t i = 0; i < 300; ++i) {
-    std::vector<double> row(kDim);
-    for (double& v : row) v = value(rng);
-    const uint32_t dice = static_cast<uint32_t>(rng() % 100);
-    if (dice < 40) {
-      ASSERT_TRUE(live->InsertPoint(ConstRow(row.data(), kDim)).ok());
-      ASSERT_TRUE(single.value().InsertPoint(ConstRow(row.data(), kDim)).ok());
-    } else if (live->live_point_count() > 20) {
-      const VectorId id = rng() % live->live_point_count();
-      const Status a = live->DeletePoint(id);
-      const Status b = single.value().DeletePoint(id);
-      ASSERT_EQ(a.ok(), b.ok());
+    Status s = checker.Step(stream.Next());
+    if (s.ok() && i % 50 == 49) {
+      s = checker.CheckQueries(OpKind::kRkr, probes, 5);
     }
-    if (i % 50 == 49) {
-      for (size_t q = 0; q < probes.size(); ++q) {
-        const ReverseKRanksResult got = live->ReverseKRanks(probes.row(q), 5);
-        const ReverseKRanksResult want =
-            single.value().ReverseKRanks(probes.row(q), 5);
-        ASSERT_EQ(got.size(), want.size()) << "op " << i << " probe " << q;
-        for (size_t j = 0; j < want.size(); ++j) {
-          ASSERT_EQ(got[j].weight_id, want[j].weight_id)
-              << "op " << i << " probe " << q;
-          ASSERT_EQ(got[j].rank, want[j].rank)
-              << "op " << i << " probe " << q;
-        }
-      }
-    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
   live->WaitBackgroundIdle();
 
