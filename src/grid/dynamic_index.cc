@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/simd.h"
@@ -25,25 +27,6 @@ void PushRanked(std::vector<RankedWeight>& heap, size_t cap,
     heap.back() = entry;
     std::push_heap(heap.begin(), heap.end());
   }
-}
-
-void InsertSorted(std::vector<double>& v, double value) {
-  v.insert(std::upper_bound(v.begin(), v.end(), value), value);
-}
-
-bool EraseSorted(std::vector<double>& v, double value) {
-  auto it = std::lower_bound(v.begin(), v.end(), value);
-  if (it == v.end() || *it != value) return false;
-  v.erase(it);
-  return true;
-}
-
-/// #{x in v : x < s} — the strict-< correction count. The stored scores
-/// and `s` share one rounding (the unfused kernels), so this matches the
-/// oracle's InnerProduct comparisons bit for bit.
-int64_t CountStrictlyBelow(const std::vector<double>& v, double s) {
-  return static_cast<int64_t>(std::lower_bound(v.begin(), v.end(), s) -
-                              v.begin());
 }
 
 /// Minimum number of fallback weights before the dirty paths pay for the
@@ -83,6 +66,7 @@ struct DynamicGirIndex::QueryPrep {
   std::vector<int64_t> removed;  // dead base scores strictly below fq[h]
   std::vector<uint8_t> known;   // added/removed computed for handle h
   std::vector<uint32_t> sel;    // SelectLessEqual candidate scratch
+  std::vector<uint32_t> batch;  // handles whose corrections count together
 };
 
 // ---- Construction -------------------------------------------------------
@@ -229,27 +213,28 @@ Status DynamicGirIndex::Init(std::shared_ptr<const TauIndex> tau) {
   RebuildWeightColumns();
   RebuildDeltaWeightCells();
 
-  // Fresh vectors, not assign(mh, {}): assigning an empty vector into
-  // each element would keep every element's capacity, so a compaction
-  // would hold on to the whole old delta's score memory.
+  // Fill re-creates each store from empty, so a compaction releases the
+  // whole old delta's score memory.
   const size_t mh = num_weight_handles();
-  dead_scores_ = std::vector<std::vector<double>>(mh);
-  delta_scores_ = std::vector<std::vector<double>>(mh);
-  std::vector<double> sp(mh);
+  const auto score = [this](uint32_t p, double* out) {
+    ScorePointUnderWeights(PointRowOfHandle(p), out);
+  };
+  std::vector<uint32_t> dead_points;
   for (size_t i = 0; i < nbp; ++i) {
-    if (base_point_alive_.Get(i)) continue;
-    ScorePointUnderWeights(base_points_->row(i), sp.data());
-    for (uint32_t h : live_weight_ids_) dead_scores_[h].push_back(sp[h]);
+    if (!base_point_alive_.Get(i)) {
+      dead_points.push_back(static_cast<uint32_t>(i));
+    }
   }
+  dead_runs_.Fill(mh, dead_points, score);
+  std::vector<uint32_t> live_delta_points;
   for (size_t j = 0; j < ndp; ++j) {
-    if (!delta_point_alive_.Get(j)) continue;
-    ScorePointUnderWeights(delta_points_->row(j), sp.data());
-    for (uint32_t h : live_weight_ids_) delta_scores_[h].push_back(sp[h]);
+    if (delta_point_alive_.Get(j)) {
+      live_delta_points.push_back(static_cast<uint32_t>(nbp + j));
+    }
   }
-  for (uint32_t h : live_weight_ids_) {
-    std::sort(dead_scores_[h].begin(), dead_scores_[h].end());
-    std::sort(delta_scores_[h].begin(), delta_scores_[h].end());
-  }
+  delta_runs_.Fill(mh, live_delta_points, score);
+  erased_runs_.Reset(mh);
+  point_scores_ = std::vector<double>(mh);
   delta_weight_base_scores_.assign(ndw, CompressedScoreArray());
   for (uint32_t h : live_weight_ids_) {
     if (h < nbw) continue;
@@ -342,6 +327,21 @@ void DynamicGirIndex::RebuildDeltaWeightCells() {
       ApproxVectors::Build(*delta_weights_, gir_->grid().weight_partitioner()));
 }
 
+void DynamicGirIndex::LiveDeltaRow(size_t h, std::vector<double>* out) const {
+  delta_runs_.SortedRow(h, out);
+  if (erased_runs_.empty()) return;
+  // Erased scores are a sub-multiset of the inserted ones (DeletePoint
+  // checks each against delta_runs_ first), so the multiset difference
+  // removes exactly one occurrence per erased point.
+  std::vector<double> erased;
+  erased_runs_.SortedRow(h, &erased);
+  std::vector<double> live;
+  live.reserve(out->size() - erased.size());
+  std::set_difference(out->begin(), out->end(), erased.begin(), erased.end(),
+                      std::back_inserter(live));
+  *out = std::move(live);
+}
+
 void DynamicGirIndex::SeedLiveTau() {
   live_tau_.clear();
   live_tau_valid_.clear();
@@ -360,15 +360,17 @@ void DynamicGirIndex::SeedLiveTau() {
   live_tau_valid_.assign(nbw, 0);
   std::vector<double> head;
   head.reserve(live_tau_cap_);
+  std::vector<double> dead;
+  std::vector<double> delta;
   for (size_t h = 0; h < nbw; ++h) {
     if (!base_weight_alive_.Get(h)) continue;
+    dead_runs_.SortedRow(h, &dead);
     // Known prefix of the live score multiset under handle h: the τ
     // column minus the tombstoned occurrences, merged with the live
     // delta scores. Every untracked base score is >= cut (the last τ
     // entry), so exactly the merged entries <= cut are trustworthy live
     // order statistics.
     const double cut = tau->Threshold(h, live_tau_cap_);
-    const std::vector<double>& dead = dead_scores_[h];
     head.clear();
     size_t di = 0;
     bool consistent = true;
@@ -388,7 +390,7 @@ void DynamicGirIndex::SeedLiveTau() {
       head.push_back(v);
     }
     if (!consistent || (di < dead.size() && dead[di] < cut)) continue;
-    const std::vector<double>& delta = delta_scores_[h];
+    LiveDeltaRow(h, &delta);
     size_t bi = 0;
     size_t gi = 0;
     uint32_t out = 0;
@@ -423,8 +425,10 @@ void DynamicGirIndex::SeedDeltaHead(size_t j) {
   if (live_tau_cap_ == 0) return;
   const size_t h = base_weights_->size() + j;
   const CompressedScoreArray& base = delta_weight_base_scores_[j];
-  const std::vector<double>& dead = dead_scores_[h];
-  const std::vector<double>& delta = delta_scores_[h];
+  std::vector<double> dead;
+  std::vector<double> delta;
+  dead_runs_.SortedRow(h, &dead);
+  LiveDeltaRow(h, &delta);
   // Unlike the base handles there is no τ horizon here: `base` holds
   // every base score, so the first live_tau_cap_ live order statistics
   // of (base minus dead) merged with delta are exact. The difference
@@ -602,15 +606,14 @@ Status DynamicGirIndex::InsertPoint(ConstRow p) {
   if (!st.ok()) return st;
   delta_point_alive_.PushBack(true);
   const size_t handle = base_points_->size() + delta_points_->size() - 1;
-  const size_t mh = num_weight_handles();
   // Out-of-range point values are harmless: delta points are only ever
   // scored exactly (never through the grid), and the next compaction's
   // fresh partitioners absorb them.
-  std::vector<double> sp(mh, 0.0);
-  if (mh > 0) ScorePointUnderWeights(p, sp.data());
+  double* sp = point_scores_.data();
+  ScorePointUnderWeights(p, sp);
+  delta_runs_.Append(static_cast<uint32_t>(handle), sp);
   uint32_t band = std::numeric_limits<uint32_t>::max();
   for (uint32_t h : live_weight_ids_) {
-    InsertSorted(delta_scores_[h], sp[h]);
     LiveTauInsert(h, sp[h]);
     // Post-insert head: the new score is tracked when it is within the
     // horizon, so the position bound is exact there (DESIGN.md §16).
@@ -627,30 +630,29 @@ Status DynamicGirIndex::DeletePoint(VectorId live_id) {
   }
   const size_t h = live_point_ids_[live_id];
   const size_t nbp = base_points_->size();
-  const size_t mh = num_weight_handles();
-  std::vector<double> sp(mh, 0.0);
-  if (mh > 0) ScorePointUnderWeights(PointRowOfHandle(h), sp.data());
-  uint32_t band = std::numeric_limits<uint32_t>::max();
+  double* sp = point_scores_.data();
+  ScorePointUnderWeights(PointRowOfHandle(h), sp);
+  const uint32_t point = static_cast<uint32_t>(h);
   if (h < nbp) {
     base_point_alive_.Set(h, false);
     ++dead_base_points_;
-    for (uint32_t w : live_weight_ids_) {
-      InsertSorted(dead_scores_[w], sp[w]);
-      // Pre-erase head: the dying score is still tracked, so its live
-      // position reads off the head exactly as for an insert.
-      band = std::min(band, LiveTauPositionBound(w, sp[w]));
-      LiveTauErase(w, sp[w]);
-    }
+    dead_runs_.Append(point, sp);
   } else {
+    // The erased scores must be the ones inserted: a miss means the
+    // stored corrections and the scoring kernel disagree bit-wise.
+    if (!delta_runs_.Holds(point, sp)) {
+      return Status::Internal("delta score bookkeeping mismatch");
+    }
     delta_point_alive_.Set(h - nbp, false);
     ++dead_delta_points_;
-    for (uint32_t w : live_weight_ids_) {
-      if (!EraseSorted(delta_scores_[w], sp[w])) {
-        return Status::Internal("delta score bookkeeping mismatch");
-      }
-      band = std::min(band, LiveTauPositionBound(w, sp[w]));
-      LiveTauErase(w, sp[w]);
-    }
+    if (!delta_runs_.EraseBuffered(point)) erased_runs_.Append(point, sp);
+  }
+  uint32_t band = std::numeric_limits<uint32_t>::max();
+  for (uint32_t w : live_weight_ids_) {
+    // Pre-erase head: the dying score is still tracked, so its live
+    // position reads off the head exactly as for an insert.
+    band = std::min(band, LiveTauPositionBound(w, sp[w]));
+    LiveTauErase(w, sp[w]);
   }
   last_point_band_ = band;
   live_point_ids_.erase(live_point_ids_.begin() + live_id);
@@ -669,29 +671,24 @@ Status DynamicGirIndex::InsertWeight(ConstRow w) {
   if (!st.ok()) return st;
   delta_weight_alive_.PushBack(true);
   const size_t h = base_weights_->size() + delta_weights_->size() - 1;
-  dead_scores_.emplace_back();
-  delta_scores_.emplace_back();
-  std::vector<double>& dead_row = dead_scores_.back();
-  std::vector<double>& delta_row = delta_scores_.back();
   ConstRow wrow = delta_weights_->row(delta_weights_->size() - 1);
+  const auto score_of = [&](uint32_t p) {
+    return InnerProduct(wrow, PointRowOfHandle(p));
+  };
+  dead_runs_.AddHandle(score_of);
+  delta_runs_.AddHandle(score_of);
+  erased_runs_.AddHandle(score_of);
+  point_scores_.resize(num_weight_handles());
   // One exact pass over every base row: the full sorted array makes
   // rank_base(w, q) a binary search at query time (no blocked fallback
-  // for delta weights), and the dead subset comes out of the same pass.
-  // The array is immutable once sorted, so it is stored delta-coded.
+  // for delta weights). The array is immutable once sorted, so it is
+  // stored delta-coded.
   std::vector<double> base_row;
   base_row.reserve(base_points_->size());
   for (size_t i = 0; i < base_points_->size(); ++i) {
-    const double s = InnerProduct(wrow, base_points_->row(i));
-    base_row.push_back(s);
-    if (!base_point_alive_.Get(i)) dead_row.push_back(s);
-  }
-  for (size_t j = 0; j < delta_points_->size(); ++j) {
-    if (!delta_point_alive_.Get(j)) continue;
-    delta_row.push_back(InnerProduct(wrow, delta_points_->row(j)));
+    base_row.push_back(InnerProduct(wrow, base_points_->row(i)));
   }
   std::sort(base_row.begin(), base_row.end());
-  std::sort(dead_row.begin(), dead_row.end());
-  std::sort(delta_row.begin(), delta_row.end());
   delta_weight_base_scores_.push_back(
       CompressedScoreArray::FromSorted(std::move(base_row)));
   delta_live_tau_.emplace_back();
@@ -738,10 +735,8 @@ Status DynamicGirIndex::DeleteWeight(VectorId live_id) {
     delta_weight_alive_.Set(h - nbw, false);
     ++dead_delta_weights_;
   }
-  dead_scores_[h].clear();
-  dead_scores_[h].shrink_to_fit();
-  delta_scores_[h].clear();
-  delta_scores_[h].shrink_to_fit();
+  // The handle's rows in the score stores stay until the next
+  // compaction; nothing reads them once it is dead.
   if (h >= nbw) {
     delta_weight_base_scores_[h - nbw] = CompressedScoreArray();
     delta_live_tau_[h - nbw].clear();
@@ -815,12 +810,9 @@ DynamicGirIndex::MemoryBreakdown DynamicGirIndex::MemoryBytes() const {
                     delta_weight_alive_.MemoryBytes();
   mb.delta_bytes = (delta_points_->size() + delta_weights_->size()) * dim() *
                    sizeof(double);
-  for (const std::vector<double>& v : dead_scores_) {
-    mb.delta_bytes += v.capacity() * sizeof(double);
-  }
-  for (const std::vector<double>& v : delta_scores_) {
-    mb.delta_bytes += v.capacity() * sizeof(double);
-  }
+  mb.delta_bytes += dead_runs_.MemoryBytes() + delta_runs_.MemoryBytes() +
+                    erased_runs_.MemoryBytes() +
+                    point_scores_.capacity() * sizeof(double);
   for (const CompressedScoreArray& a : delta_weight_base_scores_) {
     mb.delta_bytes += a.MemoryBytes();
   }
@@ -862,7 +854,8 @@ void DynamicGirIndex::PrepareQuery(ConstRow q, QueryPrep& prep,
   }
 }
 
-void DynamicGirIndex::EnsureCorrections(QueryPrep& prep, size_t h) const {
+void DynamicGirIndex::EnsureCorrections(
+    QueryPrep& prep, std::span<const uint32_t> handles) const {
   if (prep.known.empty()) {
     // Correction arrays materialize on first demand: queries decided
     // entirely by the live τ heads never pay these allocations.
@@ -871,10 +864,15 @@ void DynamicGirIndex::EnsureCorrections(QueryPrep& prep, size_t h) const {
     prep.removed.assign(mh, 0);
     prep.known.assign(mh, 0);
   }
-  if (prep.known[h] != 0) return;
-  prep.known[h] = 1;
-  prep.removed[h] = CountStrictlyBelow(dead_scores_[h], prep.fq[h]);
-  prep.added[h] = CountStrictlyBelow(delta_scores_[h], prep.fq[h]);
+  for (uint32_t h : handles) {
+    prep.added[h] = 0;
+    prep.removed[h] = 0;
+    prep.known[h] = 1;
+  }
+  const double* fq = prep.fq.data();
+  dead_runs_.AccumulateCountsBelow(handles, fq, 1, prep.removed.data());
+  delta_runs_.AccumulateCountsBelow(handles, fq, 1, prep.added.data());
+  erased_runs_.AccumulateCountsBelow(handles, fq, -1, prep.added.data());
 }
 
 ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
@@ -925,11 +923,14 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
     return result;
   }
   const TauIndex* tau = gir_->tau_index();
+  // Without τ every live weight needs its corrections: count them in
+  // one batched pass per store rather than one search chain each.
+  if (tau == nullptr) EnsureCorrections(prep, live_weight_ids_);
   const int64_t k_cap =
       tau != nullptr ? static_cast<int64_t>(tau->k_cap()) : 0;
-  // The correction extremes are uniform: every live handle's dead/delta
-  // score arrays hold one entry per dead base point / live delta point,
-  // so the conservative shifts hoist out of the loop.
+  // The correction extremes are uniform: every live handle holds one
+  // score per dead base point / live delta point, so the conservative
+  // shifts hoist out of the loop.
   const int64_t t_lo = static_cast<int64_t>(k) -
                        static_cast<int64_t>(delta_points_->size() -
                                             dead_delta_points_);
@@ -961,7 +962,7 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
     // removed ∈ [0, |dead scores|] and added ∈ [0, |delta scores|]. Try
     // to decide the weight against the extreme shifts first — the τ
     // row/histogram bounds rank_base in O(log k_cap), so a decisive
-    // verdict skips the two correction binary searches entirely.
+    // verdict skips the correction counts entirely.
     if (tau != nullptr && h < nbw) {
       if (t_lo > static_cast<int64_t>(nbp)) {
         result.push_back(static_cast<VectorId>(li));
@@ -984,7 +985,10 @@ ReverseTopKResult DynamicGirIndex::DirtyReverseTopK(ConstRow q, size_t k,
         continue;
       }
     }
-    EnsureCorrections(prep, h);
+    if (prep.known.empty() || prep.known[h] == 0) {
+      const uint32_t one = static_cast<uint32_t>(h);
+      EnsureCorrections(prep, std::span<const uint32_t>(&one, 1));
+    }
     const int64_t t =
         static_cast<int64_t>(k) + prep.removed[h] - prep.added[h];
     if (t <= 0) continue;
@@ -1075,6 +1079,19 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
   static thread_local QueryPrep prep;
   PrepareQuery(q, prep, stats);
   const TauIndex* tau = gir_->tau_index();
+  // Corrections every weight needs up front, counted in one batched
+  // pass per store rather than one search chain each: all live weights
+  // without τ, and the delta weights (the tail of live_weight_ids_)
+  // with it.
+  if (tau == nullptr) {
+    EnsureCorrections(prep, live_weight_ids_);
+  } else {
+    const auto first_delta =
+        std::lower_bound(live_weight_ids_.begin(), live_weight_ids_.end(),
+                         static_cast<uint32_t>(nbw));
+    EnsureCorrections(prep, std::span<const uint32_t>(
+                                first_delta, live_weight_ids_.end()));
+  }
 
   // Phase 1: bracket every live weight's rank. τ rows and histograms
   // bracket the all-base rank; shifting by (added − removed) brackets the
@@ -1092,20 +1109,18 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
       // Conservative bracket under the extreme corrections (removed ≤
       // dead base points, added ≤ live delta points — both uniform over
       // live handles); tightened to the exact bracket only for weights
-      // surviving the kth_hi prune, so the correction binary searches
+      // surviving the kth_hi prune, so the correction counts
       // run for the candidate band alone.
       const TauRankBounds bounds = tau->BoundRank(h, prep.fq[h]);
       lo[li] = std::max<int64_t>(bounds.lo - n_dead, 0);
       hi[li] = bounds.hi + n_delta;
     } else if (h >= nbw) {
-      EnsureCorrections(prep, h);
       const int64_t r = delta_weight_base_scores_[h - nbw].CountStrictlyBelow(
                             prep.fq[h]) +
                         prep.added[h] - prep.removed[h];
       lo[li] = r;
       hi[li] = r;
     } else {
-      EnsureCorrections(prep, h);
       const int64_t shift = prep.added[h] - prep.removed[h];
       lo[li] = prep.added[h];
       hi[li] = static_cast<int64_t>(nbp) + shift;
@@ -1129,15 +1144,17 @@ ReverseKRanksResult DynamicGirIndex::DirtyReverseKRanks(
   // their exact hi, so the recomputed cap is sound and the unresolved
   // band ends up the same as with eager corrections.
   if (tau != nullptr) {
+    prep.batch.clear();
+    for (size_t li = 0; li < live_w; ++li) {
+      const uint32_t h = live_weight_ids_[li];
+      if (lo[li] <= kth_hi && h < nbw) prep.batch.push_back(h);
+    }
+    EnsureCorrections(prep, prep.batch);
     bool tightened = false;
     for (size_t li = 0; li < live_w; ++li) {
       if (lo[li] > kth_hi) continue;
       const size_t h = live_weight_ids_[li];
-      if (h >= nbw ||
-          (!prep.known.empty() && prep.known[h] != 0)) {
-        continue;
-      }
-      EnsureCorrections(prep, h);
+      if (h >= nbw) continue;
       const int64_t shift = prep.added[h] - prep.removed[h];
       const TauRankBounds bounds = tau->BoundRank(h, prep.fq[h]);
       lo[li] = std::max(bounds.lo + shift, prep.added[h]);

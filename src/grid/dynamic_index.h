@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/counters.h"
@@ -14,6 +15,7 @@
 #include "core/status.h"
 #include "grid/blocked_scan.h"
 #include "grid/gir_queries.h"
+#include "grid/score_runs.h"
 #include "grid/succinct.h"
 
 namespace gir {
@@ -46,11 +48,20 @@ struct DynamicIndexOptions {
 ///   * deletions tombstone a base row in a per-set alive bitmap;
 ///   * insertions append to a delta Dataset (the exact-scanned delta
 ///     buffer).
-/// For every live weight the index maintains two sorted score arrays — the
-/// scores of tombstoned base points and of live delta points under that
-/// weight, computed with the same unfused multiply-add rounding as scalar
-/// InnerProduct. Under the library's strict `<` rank convention this gives
-/// the exact algebra
+/// For every weight handle the index keeps the scores, under that weight,
+/// of the tombstoned base points and of the delta points, computed with
+/// the same unfused multiply-add rounding as scalar InnerProduct. They
+/// live in shared sorted-run stores (grid/score_runs.h): a point mutation
+/// appends one score per handle — O(|W|), plus an amortized
+/// O(|W|·log δ) run merge — and a count reads one small unsorted buffer
+/// plus one binary search per run level. A deleted delta point still in
+/// the buffer is removed in place; one already merged is recorded in a
+/// third store of erased delta scores, and added = inserted − erased.
+/// The counts stay exact: with a non-positive shifted threshold
+/// (k + removed − added ≤ 0) a weight is rejected with no scan at all,
+/// which is what keeps the dirty blocked engine's reverse top-k fast.
+/// Under the library's strict `<` rank convention this gives the exact
+/// algebra
 ///     rank_live(w, q) = rank_base(w, q) − |{dead base p: f_w(p) < f_w(q)}|
 ///                                       + |{live delta p: f_w(p) < f_w(q)}|
 /// where rank_base is the rank over *all* base points — exactly what the
@@ -256,7 +267,7 @@ class DynamicGirIndex {
     size_t tau_bytes = 0;        ///< τ matrix (0 when not kTauIndex)
     size_t block_max_bytes = 0;  ///< block-max aggregates (DESIGN.md §14)
     size_t bitmap_bytes = 0;     ///< packed tombstone bitmaps + rank dirs
-    size_t delta_bytes = 0;      ///< delta datasets, score arrays, τ heads
+    size_t delta_bytes = 0;      ///< delta datasets, score stores, τ heads
     size_t total() const {
       return base_bytes + tau_bytes + block_max_bytes + bitmap_bytes +
              delta_bytes;
@@ -298,9 +309,12 @@ class DynamicGirIndex {
   void RebuildDeltaWeightCells();
   Status MaybeAutoCompact();
 
+  /// Handle h's live delta scores (inserted minus erased), ascending.
+  void LiveDeltaRow(size_t h, std::vector<double>* out) const;
+
   /// Live τ head maintenance (see the member comments). Seed derives the
   /// base-handle heads from the generation's τ matrix and the current
-  /// dead/delta score arrays, and the delta-handle heads via
+  /// dead/delta scores, and the delta-handle heads via
   /// SeedDeltaHead; Insert/Erase patch one handle's head — base handles
   /// are columns of live_tau_, delta handles rows of delta_live_tau_ —
   /// for a point entering/leaving the live set with score s.
@@ -320,12 +334,15 @@ class DynamicGirIndex {
 
   /// Shared per-query state of the dirty-path queries. Corrections are
   /// computed lazily: most weights are decided by conservative bounds
-  /// (the correction counts are bounded by the dead/delta array sizes)
-  /// against the τ row or histogram, so the two binary searches per
+  /// (the correction counts are bounded by the dead/live delta point
+  /// counts) against the τ row or histogram, so the store counts per
   /// weight run only for the undecided band.
   struct QueryPrep;
   void PrepareQuery(ConstRow q, QueryPrep& prep, QueryStats* stats) const;
-  void EnsureCorrections(QueryPrep& prep, size_t h) const;
+  /// Computes the corrections of every handle in `handles` (known or
+  /// not) with one batched count per store.
+  void EnsureCorrections(QueryPrep& prep,
+                         std::span<const uint32_t> handles) const;
 
   /// Dirty-path engines (one query on the calling thread). `shared_cap`
   /// (nullable) is the cross-index k-th-rank bound protocol described at
@@ -363,15 +380,23 @@ class DynamicGirIndex {
   /// (rebuilt on weight insertion; empty dataset → nullopt).
   std::optional<ApproxVectors> delta_weight_cells_;
 
-  /// Per weight handle, sorted ascending: scores of tombstoned base
-  /// points (dead_scores_) and of live delta points (delta_scores_).
-  /// Maintained only for live handles; cleared when the weight dies.
-  std::vector<std::vector<double>> dead_scores_;
-  std::vector<std::vector<double>> delta_scores_;
+  /// Per weight handle (dead handles included, until the next
+  /// compaction): the scores of tombstoned base points (dead_runs_), of
+  /// every delta point inserted this generation (delta_runs_, minus the
+  /// deleted ones still in its buffer), and of deleted delta points that
+  /// had already been merged into a run level (erased_runs_). The point
+  /// handles each store holds are its points; live delta scores below s
+  /// are delta_runs_ minus erased_runs_ counts.
+  ScoreRuns dead_runs_;
+  ScoreRuns delta_runs_;
+  ScoreRuns erased_runs_;
+  /// One point's score under every weight handle: the mutation paths'
+  /// scratch row, kept to spare an allocation per call.
+  std::vector<double> point_scores_;
 
   /// Per delta weight slot (handle - |base W|), sorted ascending: the
   /// scores of every base point row (dead rows included — the
-  /// dead_scores_ correction subtracts those, exactly as for base
+  /// dead_runs_ correction subtracts those, exactly as for base
   /// handles). One O(n·d) pass at InsertWeight buys rank_base as a
   /// binary search, so a delta weight never reaches the blocked
   /// fallback scan on any query path. Cleared when the weight dies;

@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -410,6 +412,96 @@ TEST_F(DynamicIoTest, LoadRejectsTrailingGarbage) {
   auto loaded = LoadDynamicIndex(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// The churn schedule above compacts every few dozen operations, so the
+// delta never grows past a couple of score-run carries. Here the delta
+// grows to 16 · 2^6 points with auto-compaction off, deleting both delta
+// points still in the store's unsorted buffer (the newest) and delta
+// points already merged into a run level (the oldest), and inserting a
+// weight now and then (a handle added mid-stream). Every query entry point
+// must match the rebuild oracle at each power-of-two delta size, and the
+// dirty index must survive a GIRDYN01 round trip — and keep taking
+// mutations after it.
+TEST_F(DynamicIoTest, DeepDeltaMatchesOracleAcrossCarryLevels) {
+  for (ScanMode mode : {ScanMode::kBlocked, ScanMode::kTauIndex}) {
+    SCOPED_TRACE(mode == ScanMode::kBlocked ? "blocked" : "tau");
+    const size_t d = 4;
+    Dataset points = GenerateUniform(200, d, 91);
+    Dataset weights = GenerateWeightsUniform(24, d, 92);
+    DynamicIndexOptions options = MakeOptions(mode);
+    options.auto_compact = false;
+    auto built = DynamicGirIndex::Build(points, weights, options);
+    ASSERT_TRUE(built.ok());
+    DynamicGirIndex dyn = std::move(built).value();
+    Dataset queries = GenerateUniform(3, d, 93);
+    ThreadPool pool(2);
+    Rng rng(94);
+    size_t live_delta = 0;
+    const auto check = [&](const DynamicGirIndex& index,
+                           const std::string& context) {
+      for (size_t k : {size_t{1}, size_t{7}, size_t{25}}) {
+        ExpectMatchesOracle(index, queries, k, &pool, context);
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          std::atomic<int64_t> cap{std::numeric_limits<int64_t>::max()};
+          EXPECT_EQ(index.ReverseKRanksCapped(queries.row(qi), k, &cap),
+                    index.ReverseKRanks(queries.row(qi), k))
+              << context << " capped rkr q=" << qi << " k=" << k;
+        }
+      }
+    };
+    // Inserts outpace deletes 2:1, so 16 · 2^6 = 1024 appended delta
+    // points take ~1500 operations.
+    size_t next_boundary = 16;
+    while (dyn.delta_points().size() < 1024) {
+      const size_t roll = rng.NextIndex(100);
+      if (roll < 62 || live_delta < 2) {
+        const Dataset fresh = GenerateUniform(1, d, rng.NextU64());
+        ASSERT_TRUE(dyn.InsertPoint(fresh.row(0)).ok());
+        ++live_delta;
+      } else if (roll < 80) {
+        // The newest delta point: usually still in the buffer.
+        ASSERT_TRUE(dyn.DeletePoint(dyn.live_point_count() - 1).ok());
+        --live_delta;
+      } else if (roll < 92) {
+        // The oldest live delta point: merged into a run level.
+        ASSERT_TRUE(
+            dyn.DeletePoint(dyn.live_point_count() - live_delta).ok());
+        --live_delta;
+      } else if (roll < 97) {
+        if (dyn.live_point_count() - live_delta > 20) {
+          ASSERT_TRUE(dyn.DeletePoint(0).ok());
+        }
+      } else {
+        const size_t row = rng.NextIndex(weights.size());
+        ASSERT_TRUE(dyn.InsertWeight(weights.row(row)).ok());
+      }
+      if (dyn.delta_points().size() == next_boundary) {
+        check(dyn, "delta=" + std::to_string(next_boundary));
+        next_boundary *= 2;
+      }
+    }
+    EXPECT_EQ(dyn.generation(), 0u);  // never compacted
+    EXPECT_GT(dyn.delta_weights().size(), 0u);
+
+    const std::string path = Path("deep.bin");
+    ASSERT_TRUE(SaveDynamicIndex(path, dyn).ok());
+    auto loaded = LoadDynamicIndex(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    DynamicGirIndex restored = std::move(loaded).value();
+    check(restored, "loaded");
+    // The loaded stores are laid out in one pass; they must take buffered
+    // and merged deletes and fresh inserts like the live ones.
+    ASSERT_TRUE(restored.DeletePoint(restored.live_point_count() - 1).ok());
+    ASSERT_TRUE(
+        restored.DeletePoint(restored.live_point_count() - live_delta + 1)
+            .ok());
+    for (size_t i = 0; i < 20; ++i) {
+      const Dataset fresh = GenerateUniform(1, d, rng.NextU64());
+      ASSERT_TRUE(restored.InsertPoint(fresh.row(0)).ok());
+    }
+    check(restored, "loaded+mutated");
+  }
 }
 
 /// Overwrites `size` bytes at `offset` of `path` with `bytes`.
